@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from . import constructions as cons
 from .core import CapExceeded, Election, approval_scores, election, render_diff_matrix, sav_scores
-from .counting import av_count_unchanged, oracle_count_unchanged
-from .perturb import Add, Operation, Remove, Swap, apply, level_argmax
-from .radius import Finite, av_radius, oracle_radius, sav_radius
-from .rules import DEFAULT_CAP, RuleSpec, ThieleVector, ThresholdWinners, preset_rule, winner_set
+from .counting import count_unchanged
+from .perturb import Add, Operation, Remove, level_argmax
+from .radius import Finite, robustness_radius
+from .rules import DEFAULT_CAP, WINNER_PROVENANCE, RuleSpec, ThieleVector, ThresholdWinners, preset_rule, winner_set
 
 RULE_PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
 WITNESS_FAMILIES = ("sav-add", "sav-remove", "thiele-add", "thiele-remove", "thiele-swap")
@@ -38,7 +38,12 @@ _JSON_SAFE_INT = 2**53
 
 def _default_cap() -> int:
     raw = os.environ.get("MWROBUST_CAP")
-    return int(raw) if raw else DEFAULT_CAP
+    if not raw:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"MWROBUST_CAP must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,8 @@ def parse_election(text: str) -> Election:
             if len(fields) != 4 or fields[0] != "m" or fields[2] != "n":
                 raise ValueError(f"line {lineno}: expected header 'm <count> n <count>'")
             header = (int(fields[1]), int(fields[3]))
+            if header[1] < 0:
+                raise ValueError(f"line {lineno}: voter count must be nonnegative, got {header[1]}")
             continue
         if line.startswith("tiebreak:"):
             if tiebreak is not None:
@@ -103,7 +110,11 @@ def serialize_election(e: Election) -> str:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One CLI invocation, normalised: analysis parameters plus I/O choices."""
+    """One CLI invocation, normalised: analysis parameters plus I/O choices.
+
+    The field defaults are the CLI's defaults; ``cap`` defaults to the
+    ``MWROBUST_CAP`` environment variable, else ``DEFAULT_CAP``.
+    """
 
     subcommand: str
     inputs: tuple[str, ...] = ()
@@ -118,8 +129,10 @@ class RunRequest:
     target: str | None = None
     max_voters: int = cons.DEFAULT_MAX_VOTERS
     election_out: str | None = None
-    output: str = "json"
-    op_tokens: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.cap < 1:
+            raise ValueError(f"cap must be a positive integer, got {self.cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +190,10 @@ def _winner_set_json(ws, cap: int) -> dict:
     }
 
 
-def _radius_json(outcome, include_witness: bool) -> dict:
+def _radius_json(outcome) -> dict:
     if isinstance(outcome, Finite):
         payload = {"outcome": "finite", "value": outcome.value}
-        if include_witness and outcome.witness is not None:
+        if outcome.witness is not None:
             payload["witness"] = [_op_json(op) for op in outcome.witness]
         return payload
     if hasattr(outcome, "bound"):
@@ -224,65 +237,35 @@ def _run_winners(req: RunRequest) -> dict:
     e = _load_election(req)
     rule = _rule(req)
     ws = winner_set(e, req.k, rule, cap=req.cap)
-    provenance = {
-        "av": "score-threshold",
-        "sav": "score-threshold",
-        "thiele": "exhaustive-thiele",
-        "greedy": "greedy-thiele",
-        "phragmen": "phragmen-sequential",
-    }[rule.kind]
     extra = {"winners": _winner_set_json(ws, req.cap)}
     if req.rule == "av":
         extra["scores"] = approval_scores(e)
     elif req.rule == "sav":
         extra["scores"] = [str(s) for s in sav_scores(e)]
-    return _result(req, provenance, **extra)
+    return _result(req, WINNER_PROVENANCE[rule.kind], **extra)
 
 
 def _run_radius(req: RunRequest) -> dict:
-    e = _load_election(req)
-    rule = _rule(req)
-    method = req.method or ("exact" if rule.kind in ("av", "sav") else "oracle")
-    if method == "exact":
-        if rule.kind == "av":
-            outcome = av_radius(e, req.k, req.op)
-            provenance = "av-case-analysis"
-        elif rule.kind == "sav":
-            outcome = sav_radius(e, req.k, req.op)
-            provenance = "sav-pair-analysis"
-        else:
-            raise ValueError(f"rule {req.rule!r} has no exact radius algorithm; use --method oracle with --budget")
-    else:
-        if req.budget is None:
-            raise ValueError("--method oracle needs --budget")
-        outcome = oracle_radius(e, req.k, rule, req.op, max_budget=req.budget, cap=req.cap)
-        provenance = "bfs-oracle"
-    extra = {"radius": _radius_json(outcome, include_witness=method == "oracle")}
+    outcome, method, provenance = robustness_radius(
+        _load_election(req), req.k, _rule(req), req.op, method=req.method, budget=req.budget, cap=req.cap
+    )
+    extra = {"radius": _radius_json(outcome)}
     if req.budget is not None:
         extra["decision"] = isinstance(outcome, Finite) and outcome.value <= req.budget
-    return dict(_result(req, provenance, **extra), method=method, budget=req.budget)
+    return _result(req, provenance, method=method, **extra, budget=req.budget)
 
 
 def _run_count(req: RunRequest) -> dict:
-    e = _load_election(req)
-    method = req.method or "exact"
-    if method in ("exact", "dp"):
-        if req.rule != "av":
-            raise ValueError("exact counting covers approval voting only; use --method oracle")
-        outcome = av_count_unchanged(e, req.k, req.op, req.budget)
-        provenance = "counting-dp"
-    else:
-        outcome = oracle_count_unchanged(e, req.k, _rule(req), req.op, req.budget, cap=req.cap)
-        provenance = "brute-force-enumeration"
-    return dict(
-        _result(
-            req,
-            provenance,
-            unchanged=_int_json(outcome.unchanged),
-            total=_int_json(outcome.total),
-            probability=str(outcome.probability),
-        ),
+    outcome, method, provenance = count_unchanged(
+        _load_election(req), req.k, _rule(req), req.op, req.budget, method=req.method, cap=req.cap
+    )
+    return _result(
+        req,
+        provenance,
         method=method,
+        unchanged=_int_json(outcome.unchanged),
+        total=_int_json(outcome.total),
+        probability=str(outcome.probability),
         budget=req.budget,
     )
 
@@ -330,36 +313,27 @@ def _run_witness(req: RunRequest) -> dict:
         bundle = cons.sav_remove_witness(req.k)
     else:
         bundle = cons.thiele_witness(req.k, req.which.split("-", 1)[1])
-    payload = _result(req, "construction", family=req.which)
-    bundle_payload = _bundle_json(bundle, req)
-    payload.update(bundle_payload)
-    payload["op"] = bundle_payload["op"]
-    return payload
+    return _result(req, "construction", family=req.which, **_bundle_json(bundle, req))
 
 
 def _run_reduce(req: RunRequest) -> dict:
     text = _read_text(req.inputs[0])
-    if req.target == "thiele":
-        inst = cons.parse_x3c(text)
-        bundle = cons.x3c_to_thiele(inst, Fraction(req.alpha), req.op)
-    elif req.target in ("greedy-cc", "greedy-pav"):
+    if req.target == "sav-count":
+        bundle = cons.matching_to_sav_counting(cons.parse_graph(text), req.op)
+    elif req.target == "thiele":
+        try:
+            alpha = Fraction(req.alpha)
+        except ZeroDivisionError:
+            raise ValueError(f"--alpha {req.alpha} has a zero denominator") from None
+        bundle = cons.x3c_to_thiele(cons.parse_x3c(text), alpha, req.op)
+    else:
         raw = cons.parse_x3c(text)
         inst = cons.RX3CInstance(raw.universe_size, raw.sets)
-        bundle = cons.rx3c_to_greedy(inst, req.target.split("-", 1)[1], kind=req.op, max_voters=req.max_voters)
-    elif req.target == "phragmen":
-        raw = cons.parse_x3c(text)
-        inst = cons.RX3CInstance(raw.universe_size, raw.sets)
-        bundle = cons.rx3c_to_phragmen(inst, kind=req.op, max_voters=req.max_voters)
-    else:  # sav-count
-        graph = cons.parse_graph(text)
-        if req.op not in ("add", "remove"):
-            raise ValueError("the counting gadget supports --op add or remove")
-        bundle = cons.matching_to_sav_counting(graph, req.op)
-    payload = _result(req, "construction", target=req.target)
-    bundle_payload = _bundle_json(bundle, req)
-    payload.update(bundle_payload)
-    payload["op"] = bundle_payload["op"]
-    return payload
+        if req.target == "phragmen":
+            bundle = cons.rx3c_to_phragmen(inst, kind=req.op, max_voters=req.max_voters)
+        else:
+            bundle = cons.rx3c_to_greedy(inst, req.target.split("-", 1)[1], kind=req.op, max_voters=req.max_voters)
+    return _result(req, "construction", target=req.target, **_bundle_json(bundle, req))
 
 
 def _run_diff(req: RunRequest) -> None:
@@ -397,22 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("election", help="election file ('-' for stdin)")
         p.add_argument("--rule", choices=RULE_PRESETS, required=True)
         p.add_argument("--k", type=int, required=True, help="committee size")
-        p.add_argument("--cap", type=int, default=None, help="winner-set enumeration cap")
+        p.add_argument("--cap", type=int, help="winner-set enumeration cap")
         if op:
             p.add_argument("--op", choices=("add", "remove", "swap"), required=True)
         if budget:
-            p.add_argument("--budget", type=int, default=None, required=required_budget)
+            p.add_argument("--budget", type=int, required=required_budget)
 
     p = sub.add_parser("winners", help="compute the winning committees")
     add_common(p)
 
     p = sub.add_parser("radius", help="robustness radius for one operation type")
     add_common(p, op=True, budget=True)
-    p.add_argument("--method", choices=("exact", "oracle"), default=None)
+    p.add_argument("--method", choices=("exact", "oracle"))
 
     p = sub.add_parser("count", help="count winner-preserving budget-B perturbations")
     add_common(p, op=True, budget=True, required_budget=True)
-    p.add_argument("--method", choices=("exact", "dp", "oracle"), default="exact")
+    p.add_argument("--method", choices=("exact", "dp", "oracle"))
 
     p = sub.add_parser("level", help="empirical robustness level over all single operations")
     add_common(p, op=True)
@@ -420,15 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="generate a maximal-displacement witness election")
     p.add_argument("--which", choices=WITNESS_FAMILIES, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--election-out", dest="election_out", default=None)
+    p.add_argument("--election-out", dest="election_out")
 
     p = sub.add_parser("reduce", help="translate a combinatorial instance into a gadget election")
     p.add_argument("target", choices=REDUCE_TARGETS)
     p.add_argument("instance", help="instance file ('-' for stdin)")
     p.add_argument("--op", choices=("add", "remove", "swap"), default="add")
-    p.add_argument("--alpha", default="1/2", help="second Thiele weight (thiele target)")
-    p.add_argument("--max-voters", dest="max_voters", type=int, default=cons.DEFAULT_MAX_VOTERS)
-    p.add_argument("--election-out", dest="election_out", default=None)
+    p.add_argument("--alpha", help="second Thiele weight (thiele target)")
+    p.add_argument("--max-voters", dest="max_voters", type=int)
+    p.add_argument("--election-out", dest="election_out")
 
     p = sub.add_parser("diff", help="render the ballot-matrix difference of two election files")
     p.add_argument("before", help="election file ('-' for stdin)")
@@ -438,39 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def request_from_args(args: argparse.Namespace) -> RunRequest:
-    sub = args.subcommand
-    inputs: tuple[str, ...] = ()
-    if sub in ("winners", "radius", "count", "level"):
-        inputs = (args.election,)
-    elif sub == "reduce":
-        inputs = (args.instance,)
-    elif sub == "diff":
-        inputs = (args.before, args.after)
-    cap = getattr(args, "cap", None)
-    return RunRequest(
-        subcommand=sub,
-        inputs=inputs,
-        rule=getattr(args, "rule", None),
-        k=getattr(args, "k", None),
-        op=getattr(args, "op", None),
-        budget=getattr(args, "budget", None),
-        method=getattr(args, "method", None),
-        cap=cap if cap is not None else _default_cap(),
-        alpha=getattr(args, "alpha", "1/2"),
-        which=getattr(args, "which", None),
-        target=getattr(args, "target", None),
-        max_voters=getattr(args, "max_voters", cons.DEFAULT_MAX_VOTERS),
-        election_out=getattr(args, "election_out", None),
-        output="text" if sub == "diff" else "json",
-    )
+    """The request for parsed arguments; options not given keep their ``RunRequest`` defaults."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    inputs = tuple(given.pop(key) for key in ("election", "instance", "before", "after") if key in given)
+    return RunRequest(inputs=inputs, **given)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    req = request_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        payload = run(req)
+        payload = run(request_from_args(args))
     except CapExceeded as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
         return 3

@@ -101,6 +101,8 @@ def parse_x3c(text: str) -> X3CInstance:
         if fields[0] == "universe":
             if universe is not None:
                 raise ValueError(f"line {lineno}: duplicate universe declaration")
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: expected 'universe <size>'")
             universe = int(fields[1])
         elif fields[0] == "set":
             sets.append(frozenset(int(x) for x in fields[1:]))
@@ -126,14 +128,16 @@ def parse_graph(text: str) -> BipartiteGraph:
         if not line:
             continue
         fields = line.split()
+        if fields[0] not in ("left", "right", "edge"):
+            raise ValueError(f"line {lineno}: expected 'left', 'right' or 'edge', got {fields[0]!r}")
+        if len(fields) != (3 if fields[0] == "edge" else 2):
+            raise ValueError(f"line {lineno}: expected 'left <n>', 'right <n>' or 'edge <u> <v>'")
         if fields[0] == "left":
             left = int(fields[1])
         elif fields[0] == "right":
             right = int(fields[1])
-        elif fields[0] == "edge":
-            edges.append((int(fields[1]), int(fields[2])))
         else:
-            raise ValueError(f"line {lineno}: expected 'left', 'right' or 'edge', got {fields[0]!r}")
+            edges.append((int(fields[1]), int(fields[2])))
     if left is None or right is None:
         raise ValueError("missing left/right declarations")
     return BipartiteGraph(left, right, tuple(edges))

@@ -6,7 +6,7 @@ cells, so ``C(slots, B)`` bundles exist in total.  ``av_count_unchanged``
 counts, via dynamic programming over per-candidate score changes, how many
 bundles leave the family of AV-winning committees exactly as it was;
 ``oracle_count_unchanged`` does the same by brute-force enumeration, for any
-rule.
+rule; ``count_unchanged`` chooses between them.
 """
 from __future__ import annotations
 
@@ -223,14 +223,21 @@ def oracle_count_unchanged(
     return CountOutcome(unchanged, math.comb(len(cells), budget))
 
 
-def unchanged_probability(
-    e: Election, k: int, rule: RuleSpec, kind: str, budget: int, method: str = "dp", cap: int = DEFAULT_CAP
-) -> Fraction:
-    """Probability that a uniformly random B-cell bundle preserves the winner set."""
-    if method == "dp":
+def count_unchanged(
+    e: Election, k: int, rule: RuleSpec, kind: str, budget: int, *, method: str | None = None, cap: int = DEFAULT_CAP
+) -> tuple[CountOutcome, str, str]:
+    """Unchanged budget-B bundles of ``e``, as ``(outcome, method, provenance)``.
+
+    ``method`` is ``"exact"`` or its alias ``"dp"`` (the AV counting DP, AV
+    only), ``"oracle"`` (enumeration, any rule) or ``None`` for ``"exact"``.
+    ``outcome.probability`` is the chance that a uniformly random bundle
+    leaves the winner set unchanged.
+    """
+    method = method or "exact"
+    if method in ("exact", "dp"):
         if rule.kind != "av":
-            raise ValueError("the counting DP only covers the AV rule; use method='oracle'")
-        return av_count_unchanged(e, k, kind, budget).probability
-    if method == "oracle":
-        return oracle_count_unchanged(e, k, rule, kind, budget, cap).probability
-    raise ValueError(f"unknown method {method!r}")
+            raise ValueError("exact counting covers approval voting only; use method 'oracle'")
+        return av_count_unchanged(e, k, kind, budget), method, "counting-dp"
+    if method != "oracle":
+        raise ValueError(f"unknown counting method {method!r}; expected 'exact', 'dp' or 'oracle'")
+    return oracle_count_unchanged(e, k, rule, kind, budget, cap), method, "brute-force-enumeration"

@@ -116,17 +116,14 @@ def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = 
     return max(min(k - len(frozenset(w) & w2) for w2 in after_sets) for w in before)
 
 
-def empirical_robustness_level(
-    e: Election, k: int, rule: RuleSpec, kind: str, cap: int = DEFAULT_CAP
-) -> int:
-    """Largest displacement any single operation of ``kind`` can cause (0 if none is feasible)."""
-    return level_argmax(e, k, rule, kind, cap)[0]
-
-
 def level_argmax(
     e: Election, k: int, rule: RuleSpec, kind: str, cap: int = DEFAULT_CAP
 ) -> tuple[int, Operation | None]:
-    """Empirical robustness level together with an operation attaining it."""
+    """Empirical robustness level together with an operation attaining it.
+
+    The level is the largest displacement any single operation of ``kind``
+    can cause (0 if none is feasible, in which case the operation is ``None``).
+    """
     level, argmax = 0, None
     for op in feasible_operations(e, kind):
         d = displacement(e, k, rule, op, cap)

@@ -3,8 +3,9 @@
 ``av_radius`` and ``sav_radius`` are exact closed-form/greedy algorithms for
 the two separable rules; ``oracle_radius`` is a rule-agnostic breadth-first
 search over perturbed elections, usable as an independent check and for the
-sequential rules.  All radii are with respect to one operation kind applied
-repeatedly (``add``, ``remove`` or ``swap``).
+sequential rules; ``robustness_radius`` chooses between them.  All radii
+are with respect to one operation kind applied repeatedly (``add``,
+``remove`` or ``swap``).
 """
 from __future__ import annotations
 
@@ -336,17 +337,43 @@ def oracle_radius(
     return ExceedsBound(max_budget)
 
 
-def radius_decision(e: Election, k: int, rule: RuleSpec, kind: str, budget: int) -> bool:
-    """Whether at most ``budget`` operations of ``kind`` can change the winner set."""
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if rule.kind == "av":
-        outcome: RadiusOutcome = av_radius(e, k, kind)
-    elif rule.kind == "sav":
-        outcome = sav_radius(e, k, kind)
-    else:
-        outcome = oracle_radius(e, k, rule, kind, max_budget=budget)
-    return isinstance(outcome, Finite) and outcome.value <= budget
+#: Exact radius algorithms by rule kind, with the provenance they report.
+_EXACT_RADIUS = {"av": (av_radius, "av-case-analysis"), "sav": (sav_radius, "sav-pair-analysis")}
+
+
+def robustness_radius(
+    e: Election,
+    k: int,
+    rule: RuleSpec,
+    kind: str,
+    *,
+    method: str | None = None,
+    budget: int | None = None,
+    cap: int = DEFAULT_CAP,
+) -> tuple[RadiusOutcome, str, str]:
+    """The radius of ``e`` for operations of ``kind``, as ``(outcome, method, provenance)``.
+
+    ``method`` is ``"exact"`` (AV and SAV only), ``"oracle"`` (any rule; the
+    breadth-first search stops after ``budget`` operations) or ``None``,
+    which picks ``"exact"`` where the rule has an exact algorithm and
+    ``"oracle"`` otherwise.  ``budget``, when given, must be nonnegative; the
+    decision form "at most ``budget`` operations suffice" holds iff the
+    outcome is ``Finite`` with ``value <= budget``.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if method is None:
+        method = "exact" if rule.kind in _EXACT_RADIUS else "oracle"
+    if method == "exact":
+        if rule.kind not in _EXACT_RADIUS:
+            raise ValueError(f"rule kind {rule.kind!r} has no exact radius algorithm; use method 'oracle'")
+        algorithm, provenance = _EXACT_RADIUS[rule.kind]
+        return algorithm(e, k, kind), method, provenance
+    if method != "oracle":
+        raise ValueError(f"unknown radius method {method!r}; expected 'exact' or 'oracle'")
+    if budget is None:
+        raise ValueError("method 'oracle' needs a budget")
+    return oracle_radius(e, k, rule, kind, max_budget=budget, cap=cap), method, "bfs-oracle"
 
 
 def _check_radius_args(e: Election, k: int, kind: str) -> None:

@@ -362,6 +362,15 @@ def phragmen_trace(e: Election, k: int) -> tuple[Committee, tuple[tuple[int, Fra
 # ---------------------------------------------------------------------------
 # Dispatch
 
+#: How ``winner_set`` computes each rule kind's winners.
+WINNER_PROVENANCE = {
+    "av": "score-threshold",
+    "sav": "score-threshold",
+    "thiele": "exhaustive-thiele",
+    "greedy": "greedy-thiele",
+    "phragmen": "phragmen-sequential",
+}
+
 
 def winner_set(e: Election, k: int, rule: RuleSpec, cap: int = DEFAULT_CAP) -> WinnerSet:
     """The rule's winner set; resolute rules yield a singleton family."""

@@ -69,6 +69,8 @@ class TestElectionFormat:
             parse_election("m 2 n 1\n0: 0\ntiebreak: 0 1\ntiebreak: 1 0\n")
         with pytest.raises(ValueError):
             parse_election("m 2 n 1\n0 0\n")  # ballot line without colon
+        with pytest.raises(ValueError):
+            parse_election("m 3 n -1\n")  # negative voter count
 
 
 class TestJsonHelpers:
@@ -313,6 +315,37 @@ class TestExitCodes:
         code, payload, _ = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1")
         assert code == 0
 
+    def test_cap_env_var_not_an_integer(self, capsys, small_path, monkeypatch):
+        monkeypatch.setenv("MWROBUST_CAP", "abc")
+        code, _, err = invoke(capsys, "winners", small_path, "--rule", "av", "--k", "1")
+        assert code == 2
+        assert err["exit_code"] == 2
+        assert "MWROBUST_CAP" in err["error"]
+
+    @pytest.mark.parametrize("cap", ("0", "-5"))
+    def test_cap_not_positive(self, capsys, small_path, cap):
+        code, _, err = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1", "--cap", cap)
+        assert code == 2
+        assert err["exit_code"] == 2
+        assert "cap" in err["error"]
+
+    @pytest.mark.parametrize(
+        "method", ([], ["--method", "exact"], ["--method", "oracle"]), ids=("auto", "exact", "oracle")
+    )
+    def test_negative_budget(self, capsys, small_path, method):
+        code, _, err = invoke(
+            capsys, "radius", small_path, "--rule", "av", "--k", "1", "--op", "add", "--budget", "-1", *method
+        )
+        assert code == 2
+        assert "budget" in err["error"]
+
+    def test_reduce_alpha_zero_denominator(self, capsys, tmp_path):
+        inst = tmp_path / "covered.x3c"
+        inst.write_text(serialize_x3c(covered_x3c_example()))
+        code, _, err = invoke(capsys, "reduce", "thiele", str(inst), "--alpha", "1/0")
+        assert code == 2
+        assert "alpha" in err["error"]
+
 
 class TestRunRequests:
     def test_programmatic_use(self, small_path):
@@ -326,6 +359,55 @@ class TestRunRequests:
         req = RunRequest(subcommand="diff", inputs=(str(path), str(path)))
         assert run(req) is None
         capsys.readouterr()
+
+
+PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
+WINNERS_PROVENANCE = {
+    "av": "score-threshold",
+    "sav": "score-threshold",
+    "cc": "exhaustive-thiele",
+    "pav": "exhaustive-thiele",
+    "greedy-cc": "greedy-thiele",
+    "greedy-pav": "greedy-thiele",
+    "phragmen": "phragmen-sequential",
+}
+EXACT_RADIUS = {"av": ("exact", "av-case-analysis"), "sav": ("exact", "sav-pair-analysis")}
+#: (subcommand, extra arguments, rule preset -> (method, provenance)); a
+#: preset missing from the map must be refused with exit code 2.
+DISPATCH_CASES = (
+    ("winners", (), {rule: (None, provenance) for rule, provenance in WINNERS_PROVENANCE.items()}),
+    ("radius", (), EXACT_RADIUS),
+    ("radius", ("--method", "exact"), EXACT_RADIUS),
+    ("radius", ("--method", "oracle", "--budget", "3"), dict.fromkeys(PRESETS, ("oracle", "bfs-oracle"))),
+    ("count", (), {"av": ("exact", "counting-dp")}),
+    ("count", ("--method", "exact"), {"av": ("exact", "counting-dp")}),
+    ("count", ("--method", "dp"), {"av": ("dp", "counting-dp")}),
+    ("count", ("--method", "oracle"), dict.fromkeys(PRESETS, ("oracle", "brute-force-enumeration"))),
+)
+
+
+class TestDispatch:
+    """Which algorithm answers each question, pinned for every rule preset."""
+
+    @pytest.mark.parametrize("rule", PRESETS)
+    @pytest.mark.parametrize(
+        "command,extra,expected", DISPATCH_CASES, ids=[" ".join((c[0],) + c[1]) for c in DISPATCH_CASES]
+    )
+    def test_method_and_provenance(self, capsys, tmp_path, rule, command, extra, expected):
+        path = tmp_path / "e.elec"
+        path.write_text("m 3 n 3\n0: 0\n1: 0 1\n2: 2\n")
+        argv = [command, str(path), "--rule", rule, "--k", "1"]
+        if command != "winners":
+            argv += ["--op", "add"]
+        if command == "count":
+            argv += ["--budget", "1"]
+        code, payload, err = invoke(capsys, *argv, *extra)
+        if rule not in expected:
+            assert code == 2
+            assert err["exit_code"] == 2
+            return
+        assert code == 0
+        assert (payload["method"], payload["provenance"]) == expected[rule]
 
 
 REGRESSION_FIXTURES = (

@@ -90,6 +90,8 @@ class TestFileFormats:
             parse_x3c("universe 3\nuniverse 3\n")
         with pytest.raises(ValueError):
             parse_x3c("universe 3\ncover 0 1 2\n")
+        with pytest.raises(ValueError, match="line 1"):
+            parse_x3c("universe\nset 0 1 2\n")  # size missing
 
     def test_graph_round_trip(self):
         g = BipartiteGraph(2, 3, ((0, 0), (0, 2), (1, 1)))
@@ -100,6 +102,9 @@ class TestFileFormats:
             parse_graph("left 2\nedge 0 0\n")
         with pytest.raises(ValueError):
             parse_graph("left 2\nright 2\nvertex 0\n")
+        for text, lineno in (("left\nright 2\n", 1), ("left 2\nright\n", 2), ("left 2\nright 2\nedge 1\n", 3)):
+            with pytest.raises(ValueError, match=f"line {lineno}"):
+                parse_graph(text)
 
 
 class TestExactCoverSolver:

@@ -10,10 +10,10 @@ import pytest
 from mwrobust import (
     av_count_state,
     av_count_unchanged,
+    count_unchanged,
     election,
     oracle_count_unchanged,
     preset_rule,
-    unchanged_probability,
 )
 
 from common import all_elections, random_election
@@ -95,23 +95,23 @@ class TestStateInternals:
     def test_probability(self):
         e = election(3, [[0], [0]])
         rule = preset_rule("av", 1)
-        assert unchanged_probability(e, 1, rule, "add", 1, method="dp") == Fraction(1)
-        assert unchanged_probability(e, 1, rule, "add", 2, method="dp") == Fraction(4, 6)
+        assert count_unchanged(e, 1, rule, "add", 1, method="dp")[0].probability == Fraction(1)
+        assert count_unchanged(e, 1, rule, "add", 2, method="dp")[0].probability == Fraction(4, 6)
 
     def test_probability_oracle_matches(self):
         e = election(3, [[0], [0]])
         rule = preset_rule("av", 1)
-        assert unchanged_probability(e, 1, rule, "add", 2, method="oracle") == Fraction(4, 6)
+        assert count_unchanged(e, 1, rule, "add", 2, method="oracle")[0].probability == Fraction(4, 6)
 
     def test_dp_requires_av(self):
         e = election(3, [[0], [0]])
         with pytest.raises(ValueError):
-            unchanged_probability(e, 1, preset_rule("sav", 1), "add", 1, method="dp")
+            count_unchanged(e, 1, preset_rule("sav", 1), "add", 1, method="dp")
 
     def test_probability_bad_method(self):
         e = election(3, [[0], [0]])
         with pytest.raises(ValueError):
-            unchanged_probability(e, 1, preset_rule("av", 1), "add", 1, method="guess")
+            count_unchanged(e, 1, preset_rule("av", 1), "add", 1, method="guess")
 
 
 class TestAgainstOracle:

@@ -14,7 +14,7 @@ from mwrobust import (
     election,
     oracle_radius,
     preset_rule,
-    radius_decision,
+    robustness_radius,
     sav_radius,
     winner_set,
     winner_sets_equal,
@@ -175,6 +175,12 @@ class TestAvAgainstOracle:
                                 assert brute == ExceedsBound(4), (e, k, kind)
 
 
+def radius_decision(e, k, rule, kind, budget):
+    """Whether at most ``budget`` operations of ``kind`` can change the winner set."""
+    outcome, _, _ = robustness_radius(e, k, rule, kind, budget=budget)
+    return isinstance(outcome, Finite) and outcome.value <= budget
+
+
 class TestDecision:
     def test_threshold_semantics(self):
         e = election(2, [[0], [0], [0], [0, 1], [1]])  # AV add radius 2
@@ -188,3 +194,14 @@ class TestDecision:
         e = election(2, [[0, 1], [0, 1]])
         rule = preset_rule("av", 1)
         assert not radius_decision(e, 1, rule, "add", 100)
+
+    @pytest.mark.parametrize("method", (None, "exact", "oracle"))
+    def test_negative_budget_rejected(self, method):
+        e = election(2, [[0], [0], [1]])
+        with pytest.raises(ValueError, match="budget"):
+            robustness_radius(e, 1, preset_rule("av", 1), "add", method=method, budget=-1)
+
+    def test_unknown_method(self):
+        e = election(2, [[0], [0], [1]])
+        with pytest.raises(ValueError, match="method"):
+            robustness_radius(e, 1, preset_rule("av", 1), "add", method="guess", budget=1)
