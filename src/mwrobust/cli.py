@@ -66,29 +66,31 @@ def parse_election(text: str) -> Election:
             fields = line.split()
             if len(fields) != 4 or fields[0] != "m" or fields[2] != "n":
                 raise ValueError(f"line {lineno}: expected header 'm <count> n <count>'")
-            header = (int(fields[1]), int(fields[3]))
+            header = tuple(cons._ints([fields[1], fields[3]], lineno))
             if header[1] < 0:
                 raise ValueError(f"line {lineno}: voter count must be nonnegative, got {header[1]}")
             continue
         if line.startswith("tiebreak:"):
             if tiebreak is not None:
                 raise ValueError(f"line {lineno}: duplicate tiebreak line")
-            tiebreak = [int(x) for x in line[len("tiebreak:"):].split()]
+            tiebreak = cons._ints(line[len("tiebreak:"):].split(), lineno)
             continue
         left, colon, right = line.partition(":")
         if not colon:
             raise ValueError(f"line {lineno}: expected '<voter>: <candidates>'")
-        voter = int(left)
+        try:
+            voter, candidates = int(left), list(map(int, right.split()))
+        except ValueError:  # the slow path names the rejected token
+            voter, *candidates = cons._ints([left, *right.split()], lineno)
         if voter in ballots_by_voter:
             raise ValueError(f"line {lineno}: duplicate ballot for voter {voter}")
-        candidates = [int(x) for x in right.split()]
         if any(b <= a for a, b in zip(candidates, candidates[1:])):
             raise ValueError(f"line {lineno}: candidate indices must be strictly increasing")
         ballots_by_voter[voter] = candidates
     if header is None:
         raise ValueError("missing header line 'm <count> n <count>'")
     m, n = header
-    if sorted(ballots_by_voter) != list(range(n)):
+    if len(ballots_by_voter) != n or sorted(ballots_by_voter) != list(range(n)):
         raise ValueError(f"expected one ballot line for each voter 0..{n - 1}")
     ballots = [ballots_by_voter[i] for i in range(n)]
     return election(m, ballots, tiebreak=tuple(tiebreak) if tiebreak is not None else None)
@@ -325,7 +327,7 @@ def _run_reduce(req: RunRequest) -> dict:
             alpha = Fraction(req.alpha)
         except ZeroDivisionError:
             raise ValueError(f"--alpha {req.alpha} has a zero denominator") from None
-        bundle = cons.x3c_to_thiele(cons.parse_x3c(text), alpha, req.op)
+        bundle = cons.x3c_to_thiele(cons.parse_x3c(text), alpha, req.op, max_voters=req.max_voters)
     else:
         raw = cons.parse_x3c(text)
         inst = cons.RX3CInstance(raw.universe_size, raw.sets)

@@ -103,9 +103,9 @@ def parse_x3c(text: str) -> X3CInstance:
                 raise ValueError(f"line {lineno}: duplicate universe declaration")
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: expected 'universe <size>'")
-            universe = int(fields[1])
+            universe = _ints(fields[1:], lineno)[0]
         elif fields[0] == "set":
-            sets.append(frozenset(int(x) for x in fields[1:]))
+            sets.append(frozenset(_ints(fields[1:], lineno)))
         else:
             raise ValueError(f"line {lineno}: expected 'universe' or 'set', got {fields[0]!r}")
     if universe is None:
@@ -133,14 +133,25 @@ def parse_graph(text: str) -> BipartiteGraph:
         if len(fields) != (3 if fields[0] == "edge" else 2):
             raise ValueError(f"line {lineno}: expected 'left <n>', 'right <n>' or 'edge <u> <v>'")
         if fields[0] == "left":
-            left = int(fields[1])
+            left = _ints(fields[1:], lineno)[0]
         elif fields[0] == "right":
-            right = int(fields[1])
+            right = _ints(fields[1:], lineno)[0]
         else:
-            edges.append((int(fields[1]), int(fields[2])))
+            edges.append(tuple(_ints(fields[1:], lineno)))
     if left is None or right is None:
         raise ValueError("missing left/right declarations")
     return BipartiteGraph(left, right, tuple(edges))
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    """``tokens`` as integers; a token that is not one is reported with its line."""
+    numbers = []
+    for token in tokens:
+        try:
+            numbers.append(int(token))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+    return numbers
 
 
 def serialize_graph(g: BipartiteGraph) -> str:
@@ -341,7 +352,7 @@ def _check_witness_k(k: int) -> None:
 # Exact cover -> Thiele (optimisation variant)
 
 
-def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str) -> GadgetBundle:
+def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int = DEFAULT_MAX_VOTERS) -> GadgetBundle:
     """Election whose Thiele winner set moves under one operation iff a cover exists.
 
     Works for every unit-decreasing weight vector with second weight
@@ -365,6 +376,10 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str) -> GadgetBundle
     if m_sets < k:
         raise ValueError("fewer sets than cover slots")
     ell = math.ceil(Fraction(3) / (1 - alpha))
+    n_pairs = m_sets * k * ell
+    n_single = m_sets * (m_sets - k) * ell
+    pivots = 2 if kind == "swap" else 1
+    _check_voter_count(inst.universe_size + n_pairs + n_single + pivots, max_voters)
     set_cand = list(range(m_sets))
     slot_cand = list(range(m_sets, m_sets + k))
     ballots: list[list[int]] = []
@@ -373,11 +388,8 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str) -> GadgetBundle
     for j in set_cand:
         for i in slot_cand:
             ballots.extend([j, i] for _ in range(ell))
-    n_pairs = m_sets * k * ell
     for j in set_cand:
         ballots.extend([j] for _ in range((m_sets - k) * ell))
-    n_single = m_sets * (m_sets - k) * ell
-    pivots = 2 if kind == "swap" else 1
     ballots.extend([slot_cand[0]] for _ in range(pivots))
     e = election(m_sets + k, ballots)
     labels = tuple(f"A{j + 1}" for j in range(m_sets)) + tuple(f"B{i + 1}" for i in range(k))

@@ -10,6 +10,7 @@ for satisfaction-based quantities.  No floats anywhere.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,6 +28,8 @@ class Election:
 
     ``tiebreak`` is the candidate priority order used by sequential rules
     (first entry = highest priority); ``None`` means ascending index.
+    ``groups`` maps each distinct ballot to its number of voters, in no set
+    order; it is derived, not a field, and must not be mutated.
     """
 
     num_candidates: int
@@ -37,12 +40,26 @@ class Election:
         m = self.num_candidates
         if m < 1:
             raise ValueError(f"need at least one candidate, got m={m}")
-        for v, ballot in enumerate(self.ballots):
-            for c in ballot:
-                if not 0 <= c < m:
-                    raise ValueError(f"ballot of voter {v} mentions candidate {c}, not in [0, {m})")
+        groups = dict(Counter(self.ballots))
+        if any(not 0 <= c < m for ballot in groups for c in ballot):
+            v, c = next((v, c) for v, ballot in enumerate(self.ballots) for c in ballot if not 0 <= c < m)
+            raise ValueError(f"ballot of voter {v} mentions candidate {c}, not in [0, {m})")
         if self.tiebreak is not None and sorted(self.tiebreak) != list(range(m)):
             raise ValueError(f"tiebreak must be a permutation of 0..{m - 1}, got {self.tiebreak}")
+        object.__setattr__(self, "groups", groups)
+
+    def _with_ballot(self, voter: int, ballot: frozenset[int]) -> Election:
+        """This election with ``voter`` casting the valid ``ballot``, unchecked: a tuple copy plus O(groups)."""
+        groups = dict(self.groups)
+        old = self.ballots[voter]
+        groups[old] -= 1
+        if not groups[old]:
+            del groups[old]
+        groups[ballot] = groups.get(ballot, 0) + 1
+        child = object.__new__(Election)
+        ballots = self.ballots[:voter] + (ballot,) + self.ballots[voter + 1 :]
+        child.__dict__.update(vars(self), ballots=ballots, groups=groups)
+        return child
 
     @property
     def m(self) -> int:
@@ -86,9 +103,9 @@ def approval_score(e: Election, candidate: int) -> int:
 
 def approval_scores(e: Election) -> list[int]:
     scores = [0] * e.m
-    for ballot in e.ballots:
+    for ballot, count in e.groups.items():
         for c in ballot:
-            scores[c] += 1
+            scores[c] += count
     return scores
 
 
@@ -106,10 +123,10 @@ def sav_score(e: Election, candidate: int) -> Fraction:
 
 def sav_scores(e: Election) -> list[Fraction]:
     scores = [Fraction(0)] * e.m
-    for ballot in e.ballots:
+    for ballot, count in e.groups.items():
         if not ballot:
             continue
-        share = Fraction(1, len(ballot))
+        share = Fraction(count, len(ballot))
         for c in ballot:
             scores[c] += share
     return scores

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Election, approval_scores
-from .perturb import feasible_operations
+from .perturb import apply_sequence, feasible_operations
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal
 
 COUNT_KINDS = ("add", "remove")
@@ -211,14 +211,8 @@ def oracle_count_unchanged(
     base = winner_set(e, k, rule, cap)
     unchanged = 0
     for combo in itertools.combinations(cells, budget):
-        ballots = [set(b) for b in e.ballots]
-        for op in combo:
-            if kind == "add":
-                ballots[op.voter].add(op.candidate)
-            else:
-                ballots[op.voter].discard(op.candidate)
-        e2 = Election(e.num_candidates, tuple(frozenset(b) for b in ballots), e.tiebreak)
-        if winner_sets_equal(base, winner_set(e2, k, rule, cap), cap):
+        # distinct cells of one kind never block each other, so every prefix is feasible
+        if winner_sets_equal(base, winner_set(apply_sequence(e, combo), k, rule, cap), cap):
             unchanged += 1
     return CountOutcome(unchanged, math.comb(len(cells), budget))
 

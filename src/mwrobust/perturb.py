@@ -74,8 +74,8 @@ def apply(e: Election, op: Operation) -> Election:
         new = ballot - {op.candidate}
     else:
         new = (ballot - {op.source}) | {op.target}
-    ballots = e.ballots[: op.voter] + (new,) + e.ballots[op.voter + 1 :]
-    return Election(e.num_candidates, ballots, e.tiebreak)
+    # the parent is valid and ``op`` is feasible, so no ballot needs re-checking
+    return e._with_ballot(op.voter, new)
 
 
 def apply_sequence(e: Election, ops: Iterable[Operation]) -> Election:
@@ -87,10 +87,16 @@ def apply_sequence(e: Election, ops: Iterable[Operation]) -> Election:
 
 def feasible_operations(e: Election, kind: str) -> list[Operation]:
     """All feasible operations of one kind, in (voter, candidate) order."""
+    return _operations(e, kind, range(e.n))
+
+
+def _operations(e: Election, kind: str, voters: Iterable[int]) -> list[Operation]:
+    """The feasible operations of one kind on ``voters``, in (voter, candidate) order."""
     if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
     ops: list[Operation] = []
-    for v, ballot in enumerate(e.ballots):
+    for v in voters:
+        ballot = e.ballots[v]
         if kind == "add":
             ops.extend(Add(v, c) for c in range(e.m) if c not in ballot)
         elif kind == "remove":
@@ -111,8 +117,12 @@ def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = 
     ``cap``).
     """
     before = winner_set(e, k, rule).committees(cap)
-    after = winner_set(apply(e, op), k, rule).committees(cap)
-    after_sets = [frozenset(w) for w in after]
+    return _drift(before, apply(e, op), k, rule, cap)
+
+
+def _drift(before: Sequence[Sequence[int]], after: Election, k: int, rule: RuleSpec, cap: int) -> int:
+    """``displacement`` from the committees ``before`` to the winners of ``after``."""
+    after_sets = [frozenset(w) for w in winner_set(after, k, rule).committees(cap)]
     return max(min(k - len(frozenset(w) & w2) for w2 in after_sets) for w in before)
 
 
@@ -123,10 +133,14 @@ def level_argmax(
 
     The level is the largest displacement any single operation of ``kind``
     can cause (0 if none is feasible, in which case the operation is ``None``).
+    The operation is the first maximiser in (voter, candidate) order; voters with
+    equal ballots cause equal displacements, so only the first of them is tried.
     """
-    level, argmax = 0, None
-    for op in feasible_operations(e, kind):
-        d = displacement(e, k, rule, op, cap)
+    level, argmax, before = 0, None, None
+    for op in _operations(e, kind, sorted(map(e.ballots.index, e.groups))):
+        if before is None:
+            before = winner_set(e, k, rule).committees(cap)
+        d = _drift(before, apply(e, op), k, rule, cap)
         if d > level or argmax is None:
             level, argmax = d, op
     return level, argmax

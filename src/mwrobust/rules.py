@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -212,13 +211,13 @@ def _integer_candidate_scores(e: Election, scoring: str) -> list[int]:
         return approval_scores(e)
     if scoring != "sav":
         raise ValueError(f"separable scoring must be 'av' or 'sav', got {scoring!r}")
-    sizes = {len(b) for b in e.ballots if b}
+    sizes = {len(b) for b in e.groups if b}
     scale = math.lcm(*sizes) if sizes else 1
     scores = [0] * e.m
-    for ballot in e.ballots:
+    for ballot, count in e.groups.items():
         if not ballot:
             continue
-        share = scale // len(ballot)
+        share = count * (scale // len(ballot))
         for c in ballot:
             scores[c] += share
     return scores
@@ -235,12 +234,12 @@ def winners_thiele(e: Election, k: int, omega: ThieleVector, cap: int = DEFAULT_
     prefix = [0]
     for w in weights:
         prefix.append(prefix[-1] + w)
-    groups = Counter(e.ballots)
+    groups = e.groups.items()
     best_score = None
     best: list[Committee] = []
     for combo in itertools.combinations(range(e.m), k):
         members = frozenset(combo)
-        score = sum(cnt * prefix[len(ballot & members)] for ballot, cnt in groups.items())
+        score = sum(cnt * prefix[len(ballot & members)] for ballot, cnt in groups)
         if best_score is None or score > best_score:
             best_score, best = score, [combo]
         elif score == best_score:
@@ -278,7 +277,7 @@ def greedy_thiele(e: Election, k: int, omega: ThieleVector, initial: Sequence[in
     if len(chosen) > k:
         raise ValueError(f"seed committee has {len(chosen)} members but k={k}")
     weights = _integer_weights(omega, k)
-    groups = list(Counter(e.ballots).items())
+    groups = list(e.groups.items())
     sat = [len(ballot & frozenset(chosen)) for ballot, _ in groups]
     rank = e.priority_rank()
     selected = set(chosen)
@@ -322,7 +321,7 @@ def phragmen_trace(e: Election, k: int) -> tuple[Committee, tuple[tuple[int, Fra
     computation runs on ballot groups.
     """
     _check_k(e, k)
-    groups = list(Counter(e.ballots).items())
+    groups = list(e.groups.items())
     balance = [Fraction(0)] * len(groups)
     supporters: dict[int, list[int]] = {c: [] for c in range(e.m)}
     approvals = [0] * e.m

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -71,6 +72,20 @@ class TestElectionFormat:
             parse_election("m 2 n 1\n0 0\n")  # ballot line without colon
         with pytest.raises(ValueError):
             parse_election("m 3 n -1\n")  # negative voter count
+        with pytest.raises(ValueError, match="line 1: expected an integer, got 'x'"):
+            parse_election("m x n 2\n")
+        with pytest.raises(ValueError, match="line 2: expected an integer, got 'x'"):
+            parse_election("m 2 n 1\nx: 0\n")
+
+    def test_voter_count_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="one ballot line for each voter"):
+                parse_election("m 3 n 10000000\n0: 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestJsonHelpers:
@@ -276,6 +291,11 @@ class TestReduce:
         )
         assert code == 2
         assert "100" in err["error"]
+        covered = tmp_path / "covered.x3c"
+        covered.write_text(serialize_x3c(covered_x3c_example()))
+        code, _, err = invoke(capsys, "reduce", "thiele", str(covered), "--alpha", "99/100", "--max-voters", "100")
+        assert code == 2
+        assert "4807 voters" in err["error"]
 
 
 class TestDiff:

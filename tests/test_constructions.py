@@ -92,6 +92,8 @@ class TestFileFormats:
             parse_x3c("universe 3\ncover 0 1 2\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_x3c("universe\nset 0 1 2\n")  # size missing
+        with pytest.raises(ValueError, match="line 2: expected an integer, got 'x'"):
+            parse_x3c("universe 3\nset 0 1 x\n")
 
     def test_graph_round_trip(self):
         g = BipartiteGraph(2, 3, ((0, 0), (0, 2), (1, 1)))
@@ -105,6 +107,8 @@ class TestFileFormats:
         for text, lineno in (("left\nright 2\n", 1), ("left 2\nright\n", 2), ("left 2\nright 2\nedge 1\n", 3)):
             with pytest.raises(ValueError, match=f"line {lineno}"):
                 parse_graph(text)
+        with pytest.raises(ValueError, match="line 3: expected an integer, got 'x'"):
+            parse_graph("left 2\nright 2\nedge 0 x\n")
 
 
 class TestExactCoverSolver:
@@ -223,6 +227,12 @@ class TestX3CToThiele:
             x3c_to_thiele(inst, Fraction(1), "add")
         with pytest.raises(ValueError):
             x3c_to_thiele(inst, Fraction(-1, 2), "add")
+
+    def test_voter_limit(self):
+        inst = covered_x3c_example()
+        assert x3c_to_thiele(inst, Fraction(1, 2), "swap", max_voters=104).election.n == 104
+        with pytest.raises(ValueError, match="103"):
+            x3c_to_thiele(inst, Fraction(1, 2), "add", max_voters=102)
 
 
 def greedy_group_audit(bundle, inst, variant):

@@ -1,0 +1,144 @@
+"""The grouped ballot profile: differential checks against voter-indexed rebuilds."""
+from __future__ import annotations
+
+import dataclasses
+import pickle
+import random
+from collections import Counter
+
+import pytest
+
+from mwrobust import (
+    Add,
+    Election,
+    Remove,
+    apply,
+    apply_sequence,
+    displacement,
+    election,
+    feasible_operations,
+    level_argmax,
+    preset_rule,
+    winner_set,
+)
+from mwrobust import perturb
+
+from common import random_feasible_op
+
+PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
+
+
+def duplicated_election(rng: random.Random, with_tiebreak: bool) -> Election:
+    """A small election drawing its ballots from a few types, so groups have several voters."""
+    m = rng.randint(2, 5)
+    types = [[c for c in range(m) if rng.random() < 0.5] for _ in range(rng.randint(1, 3))]
+    ballots = [rng.choice(types) for _ in range(rng.randint(1, 7))]
+    tiebreak = rng.sample(range(m), m) if with_tiebreak else None
+    return election(m, ballots, tiebreak=tiebreak)
+
+
+def edited_ballots(e: Election, op) -> list[set[int]]:
+    ballots = [set(b) for b in e.ballots]
+    ballot = ballots[op.voter]
+    if isinstance(op, Add):
+        ballot.add(op.candidate)
+    elif isinstance(op, Remove):
+        ballot.discard(op.candidate)
+    else:
+        ballot.discard(op.source)
+        ballot.add(op.target)
+    return ballots
+
+
+def reference_displacement(e: Election, k: int, rule, op) -> int:
+    """The displacement definition, with the perturbed election built from scratch."""
+    after_election = Election(e.num_candidates, tuple(frozenset(b) for b in edited_ballots(e, op)), e.tiebreak)
+    before = winner_set(e, k, rule).committees()
+    after = winner_set(after_election, k, rule).committees()
+    return max(min(k - len(set(w) & set(w2)) for w2 in after) for w in before)
+
+
+def reference_level(e: Election, k: int, rule, kind: str):
+    """First maximiser in (voter, candidate) order over every feasible operation."""
+    level, argmax = 0, None
+    for op in feasible_operations(e, kind):
+        d = reference_displacement(e, k, rule, op)
+        if d > level or argmax is None:
+            level, argmax = d, op
+    return level, argmax
+
+
+@pytest.mark.parametrize("with_tiebreak", (False, True))
+class TestAgainstRebuilds:
+    def test_groups_count_ballots(self, with_tiebreak):
+        rng = random.Random(3001 + with_tiebreak)
+        for _ in range(200):
+            e = duplicated_election(rng, with_tiebreak)
+            assert e.groups == Counter(e.ballots)
+
+    def test_apply_matches_rebuild(self, with_tiebreak):
+        rng = random.Random(3011 + with_tiebreak)
+        for _ in range(300):
+            e = duplicated_election(rng, with_tiebreak)
+            for _ in range(4):  # chains compose the group deltas
+                op = random_feasible_op(rng, e)
+                if op is None:
+                    break
+                child = apply(e, op)
+                assert child == election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
+                assert child.groups == Counter(child.ballots)
+                assert e.groups == Counter(e.ballots)  # the parent is untouched
+                e = child
+
+    def test_displacement_matches_definition(self, with_tiebreak):
+        rng = random.Random(3021 + with_tiebreak)
+        for _ in range(150):
+            e = duplicated_election(rng, with_tiebreak)
+            op = random_feasible_op(rng, e)
+            if op is None:
+                continue
+            k = rng.randint(1, e.m)
+            rule = preset_rule(rng.choice(PRESETS), k)
+            assert displacement(e, k, rule, op) == reference_displacement(e, k, rule, op)
+
+    def test_level_argmax_matches_voter_loop(self, with_tiebreak):
+        rng = random.Random(3031 + with_tiebreak)
+        for _ in range(60):
+            e = duplicated_election(rng, with_tiebreak)
+            k = rng.randint(1, e.m)
+            for name in PRESETS:
+                rule = preset_rule(name, k)
+                for kind in ("add", "remove", "swap"):
+                    assert level_argmax(e, k, rule, kind) == reference_level(e, k, rule, kind)
+
+
+def test_level_argmax_evaluates_each_ballot_type_once(monkeypatch):
+    e = election(4, [[0], [1, 2], [0], [0], [1, 2], [3]])
+    calls = []
+    monkeypatch.setattr(perturb, "winner_set", lambda *args: calls.append(args[0]) or winner_set(*args))
+    level_argmax(e, 2, preset_rule("pav", 2), "add")
+    distinct_pairs = 3 + 2 + 3  # add cells of {0}, {1, 2} and {3}
+    assert len(calls) == 1 + distinct_pairs
+
+
+class TestGroupsAreDerived:
+    def test_invalid_ballot_names_first_voter_and_candidate(self):
+        with pytest.raises(ValueError, match=r"^ballot of voter 1 mentions candidate 5, not in \[0, 3\)$"):
+            election(3, [[0], [1, 5], [0], [5, 1]])
+        with pytest.raises(ValueError, match="ballot of voter 2 mentions candidate -1"):
+            election(2, [[0], [0], [-1]])
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        e = election(3, [[0, 1], [2], [0, 1]], tiebreak=(2, 0, 1))
+        same = election(3, [[1, 0], [2], [0, 1]], tiebreak=(2, 0, 1))
+        assert e == same and hash(e) == hash(same)
+        assert "groups" not in repr(e)
+        assert [f.name for f in dataclasses.fields(Election)] == ["num_candidates", "ballots", "tiebreak"]
+
+    def test_survives_replace_and_pickle(self):
+        e = election(3, [[0, 1], [2], [0, 1]])
+        replaced = dataclasses.replace(e, ballots=(frozenset({2}),))
+        assert replaced.groups == {frozenset({2}): 1}
+        child = apply_sequence(e, [Add(1, 0), Remove(0, 1)])
+        copy = pickle.loads(pickle.dumps(child))
+        assert copy == child and copy.groups == Counter(child.ballots)
