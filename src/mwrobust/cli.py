@@ -54,12 +54,18 @@ def parse_election(text: str) -> Election:
     """Parse the election format: header ``m <count> n <count>``, one
     ``<voter>: <candidates>`` line per voter (strictly increasing indices,
     possibly empty), an optional ``tiebreak: <permutation>`` line, and
-    ``#`` comments."""
+    ``#`` comments.
+
+    Each distinct candidate text is converted and checked once; voters with
+    equal candidate texts share one frozenset, so a repeated line costs one
+    ``int`` and one dict lookup.
+    """
     header: tuple[int, int] | None = None
-    ballots_by_voter: dict[int, list[int]] = {}
+    ballots_by_voter: dict[int, frozenset[int]] = {}
+    checked: dict[str, frozenset[int]] = {}  # candidate text -> its ballot
     tiebreak: list[int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip() if "#" in raw else raw.strip()
         if not line:
             continue
         if header is None:
@@ -70,23 +76,28 @@ def parse_election(text: str) -> Election:
             if header[1] < 0:
                 raise ValueError(f"line {lineno}: voter count must be nonnegative, got {header[1]}")
             continue
-        if line.startswith("tiebreak:"):
+        left, colon, right = line.partition(":")
+        if colon and left == "tiebreak":
             if tiebreak is not None:
                 raise ValueError(f"line {lineno}: duplicate tiebreak line")
-            tiebreak = cons._ints(line[len("tiebreak:"):].split(), lineno)
+            tiebreak = cons._ints(right.split(), lineno)
             continue
-        left, colon, right = line.partition(":")
         if not colon:
             raise ValueError(f"line {lineno}: expected '<voter>: <candidates>'")
+        ballot = checked.get(right)
         try:
-            voter, candidates = int(left), list(map(int, right.split()))
+            voter = int(left)
+            if ballot is None:
+                candidates = list(map(int, right.split()))
         except ValueError:  # the slow path names the rejected token
             voter, *candidates = cons._ints([left, *right.split()], lineno)
         if voter in ballots_by_voter:
             raise ValueError(f"line {lineno}: duplicate ballot for voter {voter}")
-        if any(b <= a for a, b in zip(candidates, candidates[1:])):
-            raise ValueError(f"line {lineno}: candidate indices must be strictly increasing")
-        ballots_by_voter[voter] = candidates
+        if ballot is None:
+            if any(b <= a for a, b in zip(candidates, candidates[1:])):
+                raise ValueError(f"line {lineno}: candidate indices must be strictly increasing")
+            ballot = checked[right] = frozenset(candidates)
+        ballots_by_voter[voter] = ballot
     if header is None:
         raise ValueError("missing header line 'm <count> n <count>'")
     m, n = header
@@ -97,10 +108,10 @@ def parse_election(text: str) -> Election:
 
 
 def serialize_election(e: Election) -> str:
+    """The election format of ``e``; each ballot type's candidate list is rendered once."""
+    tails = {ballot: ": " + " ".join(map(str, sorted(ballot))) if ballot else ":" for ballot in e.groups}
     lines = [f"m {e.m} n {e.n}"]
-    for i, ballot in enumerate(e.ballots):
-        body = " ".join(str(c) for c in sorted(ballot))
-        lines.append(f"{i}: {body}".rstrip())
+    lines.extend(f"{i}{tails[ballot]}" for i, ballot in enumerate(e.ballots))
     if e.tiebreak is not None:
         lines.append("tiebreak: " + " ".join(str(c) for c in e.tiebreak))
     return "\n".join(lines) + "\n"

@@ -238,6 +238,19 @@ def _check_voter_count(total: int, max_voters: int) -> None:
         raise ValueError(f"instance would materialise {total} voters, above the limit of {max_voters}")
 
 
+Block = tuple[list[int], int]  # a ballot and the number of voters casting it
+
+
+def _voters(blocks: Iterable[Block]) -> list[frozenset[int]]:
+    """The ballots of ``blocks`` in order, one voter per count; equal ballots share one frozenset."""
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    voters: list[frozenset[int]] = []
+    for ballot, count in blocks:
+        ballot = frozenset(ballot)
+        voters += [shared.setdefault(ballot, ballot)] * count
+    return voters
+
+
 # ---------------------------------------------------------------------------
 # Witness elections
 
@@ -317,19 +330,19 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
         raise ValueError(f"unknown operation kind {kind!r}")
     a = list(range(k))
     b = list(range(k, 2 * k))
-    ballots: list[list[int]] = [[a[i], b[j]] for i in range(k) for j in range(k)]
-    pivot = len(ballots)
+    blocks: list[Block] = [([a[i], b[j]], 1) for i in range(k) for j in range(k)]
+    pivot = len(blocks)
     if kind == "add":
-        ballots.append([])
+        blocks.append(([], 1))
         op: Operation = Add(pivot, a[0])
     elif kind == "remove":
-        ballots.append([a[0], b[0]])
+        blocks.append(([a[0], b[0]], 1))
         op = Remove(pivot, b[0])
     else:
-        ballots.append([b[0]])
+        blocks.append(([b[0]], 1))
         op = Swap(pivot, b[0], a[0])
     tiebreak = b + a  # prefer b-candidates, then a-candidates
-    e = election(2 * k, ballots, tiebreak=tiebreak)
+    e = election(2 * k, _voters(blocks), tiebreak=tiebreak)
     return GadgetBundle(
         election=e,
         k=k,
@@ -382,16 +395,13 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     _check_voter_count(inst.universe_size + n_pairs + n_single + pivots, max_voters)
     set_cand = list(range(m_sets))
     slot_cand = list(range(m_sets, m_sets + k))
-    ballots: list[list[int]] = []
-    for x in range(inst.universe_size):
-        ballots.append([slot_cand[x // 3]] + [j for j in set_cand if x in inst.sets[j]])
-    for j in set_cand:
-        for i in slot_cand:
-            ballots.extend([j, i] for _ in range(ell))
-    for j in set_cand:
-        ballots.extend([j] for _ in range((m_sets - k) * ell))
-    ballots.extend([slot_cand[0]] for _ in range(pivots))
-    e = election(m_sets + k, ballots)
+    blocks: list[Block] = [
+        ([slot_cand[x // 3]] + [j for j in set_cand if x in inst.sets[j]], 1) for x in range(inst.universe_size)
+    ]
+    blocks += [([j, i], ell) for j in set_cand for i in slot_cand]
+    blocks += [([j], (m_sets - k) * ell) for j in set_cand]
+    blocks.append(([slot_cand[0]], pivots))
+    e = election(m_sets + k, _voters(blocks))
     labels = tuple(f"A{j + 1}" for j in range(m_sets)) + tuple(f"B{i + 1}" for i in range(k))
     return GadgetBundle(
         election=e,
@@ -452,28 +462,22 @@ def rx3c_to_greedy(
     total = nsets * T + math.comb(nsets, 2) * T + pd_count + 3 * n * t + p_only + padding_size
     _check_voter_count(total, max_voters)
     groups: list[tuple[str, int]] = []
-    ballots: list[list[int]] = []
-
-    for i in range(nsets):
-        ballots.extend([i] for _ in range(T))
+    blocks: list[Block] = [([i], T) for i in range(nsets)]
     groups.append(("set-singleton", nsets * T))
-    for i in range(nsets):
-        for j in range(i + 1, nsets):
-            ballots.extend([i, j] for _ in range(T))
+    blocks += [([i, j], T) for i in range(nsets) for j in range(i + 1, nsets)]
     groups.append(("set-pair", math.comb(nsets, 2) * T))
-    ballots.extend([p, d] for _ in range(pd_count))
+    blocks.append(([p, d], pd_count))
     groups.append(("p-and-d", pd_count))
-    for x in range(inst.universe_size):
-        containing = [i for i in range(nsets) if x in inst.sets[i]]
-        ballots.extend([d] + containing for _ in range(t))
+    blocks += [([d] + [i for i in range(nsets) if x in inst.sets[i]], t) for x in range(inst.universe_size)]
     groups.append(("element", inst.universe_size * t))
     if p_only:
-        ballots.extend([p] for _ in range(p_only))
+        blocks.append(([p], p_only))
         groups.append(("p-only", p_only))
 
     dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
-    ballots.extend(padding)
-    groups.append(("padding", len(padding)))
+    blocks += padding
+    groups.append(("padding", padding_size))
+    ballots = _voters(blocks)
     _check_voter_count(len(ballots), max_voters)
     e = election(nsets + 2 + dummies, ballots)
     k = nsets + 1
@@ -529,27 +533,24 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     total = nsets * T + inst.universe_size * t * t + (T + 3 * t * t - 2 * t) + t // (6 * n) + padding_size
     _check_voter_count(total, max_voters)
     groups: list[tuple[str, int]] = []
-    ballots: list[list[int]] = []
-
-    for i in range(nsets):
-        ballots.extend([i] for _ in range(T))
+    blocks: list[Block] = [([i], T) for i in range(nsets)]
     groups.append(("set-singleton", nsets * T))
     with_d = t // (3 * n)
     for x in range(inst.universe_size):
         containing = [i for i in range(nsets) if x in inst.sets[i]]
-        ballots.extend(list(containing) for _ in range(t * t - with_d))
-        ballots.extend([d] + containing for _ in range(with_d))
+        blocks += [(containing, t * t - with_d), ([d] + containing, with_d)]
     groups.append(("element", inst.universe_size * t * t))
     pd_count = T + 3 * t * t - 2 * t
-    ballots.extend([p, d] for _ in range(pd_count))
+    blocks.append(([p, d], pd_count))
     groups.append(("p-and-d", pd_count))
     p_only = t // (6 * n)
-    ballots.extend([p] for _ in range(p_only))
+    blocks.append(([p], p_only))
     groups.append(("p-only", p_only))
 
     dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
-    ballots.extend(padding)
-    groups.append(("padding", len(padding)))
+    blocks += padding
+    groups.append(("padding", padding_size))
+    ballots = _voters(blocks)
     _check_voter_count(len(ballots), max_voters)
     e = election(nsets + 2 + dummies, ballots)
     labels = (
@@ -569,8 +570,8 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     )
 
 
-def _reduction_padding(kind: str, n: int, nsets: int, first_dummy: int) -> tuple[int, list[list[int]], int]:
-    """Padding voters and budget for the three operation kinds.
+def _reduction_padding(kind: str, n: int, nsets: int, first_dummy: int) -> tuple[int, list[Block], int]:
+    """Dummy candidates, padding voter blocks and budget for the three operation kinds.
 
     Additions use ``n`` empty voters (budget n); removals use one extra
     approval per set candidate (budget 2n); swaps use ``n`` voters approving
@@ -578,10 +579,10 @@ def _reduction_padding(kind: str, n: int, nsets: int, first_dummy: int) -> tuple
     approval and discard one.
     """
     if kind == "add":
-        return 0, [[] for _ in range(n)], n
+        return 0, [([], n)], n
     if kind == "remove":
-        return 0, [[i] for i in range(nsets)], 2 * n
-    return n, [[first_dummy + i] for i in range(n)], n
+        return 0, [([i], 1) for i in range(nsets)], 2 * n
+    return n, [([first_dummy + i], 1) for i in range(n)], n
 
 
 @dataclass(frozen=True)

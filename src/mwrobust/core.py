@@ -57,8 +57,11 @@ class Election:
             del groups[old]
         groups[ballot] = groups.get(ballot, 0) + 1
         child = object.__new__(Election)
-        ballots = self.ballots[:voter] + (ballot,) + self.ballots[voter + 1 :]
-        child.__dict__.update(vars(self), ballots=ballots, groups=groups)
+        # one list copy, not two slices and two concatenations: every copied reference
+        # is an increment, and these serialize when many voters share one ballot object
+        ballots = list(self.ballots)
+        ballots[voter] = ballot
+        child.__dict__.update(vars(self), ballots=tuple(ballots), groups=groups)
         return child
 
     @property
@@ -98,7 +101,7 @@ def election(m: int, ballots: Iterable[Iterable[int]], tiebreak: Sequence[int] |
 def approval_score(e: Election, candidate: int) -> int:
     """Number of voters approving ``candidate``."""
     _check_candidate(e, candidate)
-    return sum(1 for ballot in e.ballots if candidate in ballot)
+    return sum(count for ballot, count in e.groups.items() if candidate in ballot)
 
 
 def approval_scores(e: Election) -> list[int]:
@@ -116,7 +119,7 @@ def sav_score(e: Election, candidate: int) -> Fraction:
     """
     _check_candidate(e, candidate)
     return sum(
-        (Fraction(1, len(ballot)) for ballot in e.ballots if candidate in ballot),
+        (Fraction(count, len(ballot)) for ballot, count in e.groups.items() if candidate in ballot),
         Fraction(0),
     )
 
@@ -143,10 +146,10 @@ def committee_score(e: Election, scoring, committee: Iterable[int]):
     for c in members:
         _check_candidate(e, c)
     if scoring == "av":
-        return sum(len(ballot & members) for ballot in e.ballots)
+        return sum(len(ballot & members) * count for ballot, count in e.groups.items())
     if scoring == "sav":
         return sum(
-            (Fraction(len(ballot & members), len(ballot)) for ballot in e.ballots if ballot),
+            (Fraction(len(ballot & members) * count, len(ballot)) for ballot, count in e.groups.items() if ballot),
             Fraction(0),
         )
     weights = tuple(getattr(scoring, "weights", scoring))
@@ -156,7 +159,7 @@ def committee_score(e: Election, scoring, committee: Iterable[int]):
     prefix = [Fraction(0)]
     for w in weights:
         prefix.append(prefix[-1] + Fraction(w))
-    return sum((prefix[len(ballot & members)] for ballot in e.ballots), Fraction(0))
+    return sum((prefix[len(ballot & members)] * count for ballot, count in e.groups.items()), Fraction(0))
 
 
 def render_diff_matrix(before: Election, after: Election) -> str:
@@ -168,22 +171,19 @@ def render_diff_matrix(before: Election, after: Election) -> str:
     if before.m != after.m or before.n != after.n:
         raise ValueError("diff requires elections with identical numbers of candidates and voters")
     width = max(2, len(str(before.m - 1)) + 1)
-    header = " " * (len(str(max(before.n - 1, 0))) + 2) + "".join(f"c{c}".rjust(width) for c in range(before.m))
+    label_width = len(str(max(before.n - 1, 0))) + 2
+    header = " " * label_width + "".join(f"c{c}".rjust(width) for c in range(before.m))
     lines = [header]
-    for v in range(before.n):
-        old, new = before.ballots[v], after.ballots[v]
-        cells = []
-        for c in range(before.m):
-            if c in old and c in new:
-                cells.append("o")
-            elif c in old:
-                cells.append("-")
-            elif c in new:
-                cells.append("+")
-            else:
-                cells.append(" ")
-        lines.append(f"v{v} ".ljust(len(str(max(before.n - 1, 0))) + 2) + "".join(cell.rjust(width) for cell in cells))
+    for v, (old, new) in enumerate(zip(before.ballots, after.ballots)):
+        row = "".join(_diff_cell(c in old, c in new).rjust(width) for c in range(before.m))
+        lines.append(f"v{v} ".ljust(label_width) + row)
     return "\n".join(lines)
+
+
+def _diff_cell(in_old: bool, in_new: bool) -> str:
+    if in_old:
+        return "o" if in_new else "-"
+    return "+" if in_new else " "
 
 
 def _check_candidate(e: Election, candidate: int) -> None:

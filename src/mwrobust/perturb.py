@@ -116,13 +116,13 @@ def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = 
     replaced seats.  Both families are expanded explicitly (subject to
     ``cap``).
     """
-    before = winner_set(e, k, rule).committees(cap)
+    before = winner_set(e, k, rule, cap).committees(cap)
     return _drift(before, apply(e, op), k, rule, cap)
 
 
 def _drift(before: Sequence[Sequence[int]], after: Election, k: int, rule: RuleSpec, cap: int) -> int:
     """``displacement`` from the committees ``before`` to the winners of ``after``."""
-    after_sets = [frozenset(w) for w in winner_set(after, k, rule).committees(cap)]
+    after_sets = [frozenset(w) for w in winner_set(after, k, rule, cap).committees(cap)]
     return max(min(k - len(frozenset(w) & w2) for w2 in after_sets) for w in before)
 
 
@@ -139,7 +139,7 @@ def level_argmax(
     level, argmax, before = 0, None, None
     for op in _operations(e, kind, sorted(map(e.ballots.index, e.groups))):
         if before is None:
-            before = winner_set(e, k, rule).committees(cap)
+            before = winner_set(e, k, rule, cap).committees(cap)
         d = _drift(before, apply(e, op), k, rule, cap)
         if d > level or argmax is None:
             level, argmax = d, op

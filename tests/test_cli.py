@@ -76,6 +76,40 @@ class TestElectionFormat:
             parse_election("m x n 2\n")
         with pytest.raises(ValueError, match="line 2: expected an integer, got 'x'"):
             parse_election("m 2 n 1\nx: 0\n")
+        with pytest.raises(ValueError, match="^line 3: expected '<voter>: <candidates>'$"):
+            parse_election("m 3 n 1\n0: 0\ntiebreak\n")  # a tiebreak line needs its colon
+        with pytest.raises(ValueError, match="^line 4: expected '<voter>: <candidates>'$"):
+            parse_election("m 3 n 1\n0: 0\ntiebreak: 0 1 2\ntiebreak\n")
+
+    def test_repeated_bad_line_reported_at_first_occurrence(self):
+        with pytest.raises(ValueError, match="^line 3: candidate indices must be strictly increasing$"):
+            parse_election("m 3 n 3\n0: 0 1\n1: 2 1\n2: 2 1\n")
+        with pytest.raises(ValueError, match="^line 2: expected an integer, got 'y'$"):
+            parse_election("m 3 n 2\n0: 0 y\n1: 0 y\n")
+
+    def test_duplicate_voter_with_cached_ballot(self):
+        with pytest.raises(ValueError, match="^line 4: duplicate ballot for voter 1$"):
+            parse_election("m 3 n 3\n0: 0 1\n1: 0 1\n1: 0 1\n")
+
+    def test_duplicate_voter_named_before_unsorted_ballot(self):
+        with pytest.raises(ValueError, match="^line 3: duplicate ballot for voter 0$"):
+            parse_election("m 3 n 2\n0: 0 1\n0: 1 0\n")
+
+    def test_bad_voter_token_on_cached_ballot(self):
+        with pytest.raises(ValueError, match="^line 3: expected an integer, got 'v1'$"):
+            parse_election("m 3 n 2\n0: 0 2\nv1: 0 2\n")
+        with pytest.raises(ValueError, match="^line 2: expected an integer, got 'v0'$"):
+            parse_election("m 3 n 1\nv0: 0 y\n")  # the voter token is named first
+
+    def test_spacing_does_not_split_ballot_types(self):
+        e = parse_election("m 3 n 3\n0:1 2\n1: 1 2\n2:  1   2  # same\n")
+        assert e.ballots == (frozenset({1, 2}),) * 3
+        assert e.groups == {frozenset({1, 2}): 3}
+
+    def test_cached_ballots_in_any_voter_order(self):
+        e = parse_election("m 3 n 4\n3: 0\n1: 2\n0: 0\n2: 2\n")
+        assert e.ballots == (frozenset({0}), frozenset({2}), frozenset({2}), frozenset({0}))
+        assert serialize_election(e) == "m 3 n 4\n0: 0\n1: 2\n2: 2\n3: 0\n"
 
     def test_voter_count_checked_before_allocating(self):
         tracemalloc.start()
@@ -326,6 +360,14 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1", "--cap", "1")
         assert code == 3
         assert err["exit_code"] == 3
+
+    def test_level_respects_cap(self, capsys, tmp_path):
+        path = tmp_path / "tied.elec"
+        path.write_text("m 6 n 3\n0: 0 1 2\n1: 0 1 2\n2: 0 1 2\n")
+        for command, extra in (("winners", ()), ("level", ("--op", "add"))):
+            code, _, err = invoke(capsys, command, str(path), "--rule", "pav", "--k", "3", "--cap", "5", *extra)
+            assert code == 3
+            assert err["exit_code"] == 3
 
     def test_cap_env_var(self, capsys, small_path, monkeypatch):
         monkeypatch.setenv("MWROBUST_CAP", "1")

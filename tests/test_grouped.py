@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,13 +13,18 @@ from mwrobust import (
     Add,
     Election,
     Remove,
+    ThieleVector,
     apply,
     apply_sequence,
+    approval_score,
+    committee_score,
     displacement,
     election,
     feasible_operations,
     level_argmax,
     preset_rule,
+    render_diff_matrix,
+    sav_score,
     winner_set,
 )
 from mwrobust import perturb
@@ -142,3 +148,49 @@ class TestGroupsAreDerived:
         child = apply_sequence(e, [Add(1, 0), Remove(0, 1)])
         copy = pickle.loads(pickle.dumps(child))
         assert copy == child and copy.groups == Counter(child.ballots)
+
+
+def reference_committee_score(e: Election, scoring, committee) -> Fraction:
+    """``committee_score`` summed voter by voter."""
+    members = set(committee)
+    if scoring == "av":
+        return sum(len(ballot & members) for ballot in e.ballots)
+    if scoring == "sav":
+        return sum((Fraction(len(ballot & members), len(ballot)) for ballot in e.ballots if ballot), Fraction(0))
+    weights = scoring.weights
+    return sum((sum(weights[: len(ballot & members)], Fraction(0)) for ballot in e.ballots), Fraction(0))
+
+
+def reference_diff_row(before: Election, after: Election, v: int) -> str:
+    """One voter's row of ``render_diff_matrix``, rendered cell by cell."""
+    old, new = before.ballots[v], after.ballots[v]
+    width = max(2, len(str(before.m - 1)) + 1)
+    cells = ("o" if c in old and c in new else "-" if c in old else "+" if c in new else " " for c in range(before.m))
+    return f"v{v} ".ljust(len(str(max(before.n - 1, 0))) + 2) + "".join(cell.rjust(width) for cell in cells)
+
+
+class TestPerVoterDefinitions:
+    def test_scores_weight_each_ballot_type_by_its_count(self):
+        rng = random.Random(3041)
+        for _ in range(200):
+            e = duplicated_election(rng, with_tiebreak=False)
+            for c in range(e.m):
+                assert approval_score(e, c) == sum(1 for ballot in e.ballots if c in ballot)
+                assert sav_score(e, c) == sum(
+                    (Fraction(1, len(ballot)) for ballot in e.ballots if c in ballot), Fraction(0)
+                )
+            committee = rng.sample(range(e.m), rng.randint(1, e.m))
+            for scoring in ("av", "sav", ThieleVector.pav(e.m), ThieleVector.cc(e.m)):
+                assert committee_score(e, scoring, committee) == reference_committee_score(e, scoring, committee)
+
+    def test_diff_rows_rendered_once_per_ballot_pair(self):
+        rng = random.Random(3051)
+        for _ in range(200):
+            before = duplicated_election(rng, with_tiebreak=False)
+            after = before
+            for _ in range(rng.randint(0, 3)):
+                op = random_feasible_op(rng, after)
+                if op is not None:
+                    after = apply(after, op)
+            lines = render_diff_matrix(before, after).split("\n")
+            assert lines[1:] == [reference_diff_row(before, after, v) for v in range(before.n)]

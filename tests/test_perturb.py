@@ -7,6 +7,7 @@ import pytest
 
 from mwrobust import (
     Add,
+    CapExceeded,
     Remove,
     Swap,
     apply,
@@ -127,6 +128,16 @@ class TestDisplacement:
                 continue
             rule = preset_rule(rng.choice(("av", "sav", "pav", "greedy-cc", "phragmen")), k)
             assert 0 <= displacement(e, k, rule, op) <= k
+
+    def test_cap_bounds_the_winner_set_enumeration(self):
+        # exhaustive PAV enumerates all C(6,3) = 20 committees, above a cap of 5
+        e = election(6, [[0, 1, 2]] * 3)
+        rule = preset_rule("pav", 3)
+        with pytest.raises(CapExceeded):
+            displacement(e, 3, rule, Add(0, 3), cap=5)
+        with pytest.raises(CapExceeded):
+            level_argmax(e, 3, rule, "add", cap=5)
+        assert displacement(e, 3, rule, Add(0, 3), cap=20) == 0
 
 
 class TestLevel:
