@@ -15,14 +15,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import constructions as cons
 from .core import CapExceeded, Election, approval_scores, election, render_diff_matrix, sav_scores
 from .counting import count_unchanged
-from .perturb import Add, Operation, Remove, level_argmax
-from .radius import Finite, robustness_radius
+from .perturb import OP_KINDS, Operation, level_argmax, op_kind
+from .radius import ExceedsBound, Finite, robustness_radius
 from .rules import DEFAULT_CAP, WINNER_PROVENANCE, RuleSpec, ThieleVector, ThresholdWinners, preset_rule, winner_set
 
 RULE_PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
@@ -54,7 +54,7 @@ def parse_election(text: str) -> Election:
     """Parse the election format: header ``m <count> n <count>``, one
     ``<voter>: <candidates>`` line per voter (strictly increasing indices,
     possibly empty), an optional ``tiebreak: <permutation>`` line, and
-    ``#`` comments.
+    ``#`` comments.  Numbers are ASCII decimal digits, optionally after a ``-``.
 
     Each distinct candidate text is converted and checked once; voters with
     equal candidate texts share one frozenset, so a repeated line costs one
@@ -84,13 +84,10 @@ def parse_election(text: str) -> Election:
             continue
         if not colon:
             raise ValueError(f"line {lineno}: expected '<voter>: <candidates>'")
+        voter = int(left) if left.isascii() and left.isdigit() else cons._ints([left.rstrip()], lineno)[0]
         ballot = checked.get(right)
-        try:
-            voter = int(left)
-            if ballot is None:
-                candidates = list(map(int, right.split()))
-        except ValueError:  # the slow path names the rejected token
-            voter, *candidates = cons._ints([left, *right.split()], lineno)
+        if ballot is None:
+            candidates = cons._ints(right.split(), lineno)
         if voter in ballots_by_voter:
             raise ValueError(f"line {lineno}: duplicate ballot for voter {voter}")
         if ballot is None:
@@ -177,11 +174,7 @@ def _jsonable(value):
 
 
 def _op_json(op: Operation) -> dict:
-    if isinstance(op, Add):
-        return {"kind": "add", "voter": op.voter, "candidate": op.candidate}
-    if isinstance(op, Remove):
-        return {"kind": "remove", "voter": op.voter, "candidate": op.candidate}
-    return {"kind": "swap", "voter": op.voter, "source": op.source, "target": op.target}
+    return {"kind": op_kind(op), **asdict(op)}
 
 
 def _winner_set_json(ws, cap: int) -> dict:
@@ -209,7 +202,7 @@ def _radius_json(outcome) -> dict:
         if outcome.witness is not None:
             payload["witness"] = [_op_json(op) for op in outcome.witness]
         return payload
-    if hasattr(outcome, "bound"):
+    if isinstance(outcome, ExceedsBound):
         return {"outcome": "exceeds-bound", "bound": outcome.bound}
     return {"outcome": "impossible"}
 
@@ -332,7 +325,7 @@ def _run_witness(req: RunRequest) -> dict:
 def _run_reduce(req: RunRequest) -> dict:
     text = _read_text(req.inputs[0])
     if req.target == "sav-count":
-        bundle = cons.matching_to_sav_counting(cons.parse_graph(text), req.op)
+        bundle = cons.matching_to_sav_counting(cons.parse_graph(text), req.op, max_voters=req.max_voters)
     elif req.target == "thiele":
         try:
             alpha = Fraction(req.alpha)
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True, help="committee size")
         p.add_argument("--cap", type=int, help="winner-set enumeration cap")
         if op:
-            p.add_argument("--op", choices=("add", "remove", "swap"), required=True)
+            p.add_argument("--op", choices=OP_KINDS, required=True)
         if budget:
             p.add_argument("--budget", type=int, required=required_budget)
 
@@ -412,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="translate a combinatorial instance into a gadget election")
     p.add_argument("target", choices=REDUCE_TARGETS)
     p.add_argument("instance", help="instance file ('-' for stdin)")
-    p.add_argument("--op", choices=("add", "remove", "swap"), default="add")
+    p.add_argument("--op", choices=OP_KINDS, default="add")
     p.add_argument("--alpha", help="second Thiele weight (thiele target)")
     p.add_argument("--max-voters", dest="max_voters", type=int)
     p.add_argument("--election-out", dest="election_out")

@@ -9,15 +9,16 @@ each bundle records its voter-group cardinalities so they can be audited.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .core import Election, election
-from .perturb import Add, Operation, Remove, Swap
+from .perturb import OP_KINDS, Add, Operation, Remove, Swap
 from .rules import ThieleVector, greedy_thiele
 
-#: Refuse to materialise gadget elections with more voters than this.
+#: Refuse to materialise gadget elections with more voters (or candidates) than this.
 DEFAULT_MAX_VOTERS = 2_000_000
 
 
@@ -143,15 +144,21 @@ def parse_graph(text: str) -> BipartiteGraph:
     return BipartiteGraph(left, right, tuple(edges))
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
 def _ints(tokens: list[str], lineno: int) -> list[int]:
-    """``tokens`` as integers; a token that is not one is reported with its line."""
-    numbers = []
-    for token in tokens:
-        try:
-            numbers.append(int(token))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
-    return numbers
+    """``tokens`` as integers: ASCII decimal digits, optionally after a ``-``.
+
+    A token that is not one is reported with its line; ``int()`` alone would
+    also read ``+1``, ``1_0`` and non-ASCII digits.
+    """
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):  # some token is negative or malformed
+        for token in tokens:
+            if not _INT_TOKEN.fullmatch(token):
+                raise ValueError(f"line {lineno}: expected an integer, got {token!r}")
+    return list(map(int, tokens))
 
 
 def serialize_graph(g: BipartiteGraph) -> str:
@@ -233,9 +240,11 @@ class GadgetBundle:
         return sum(count for name, count in self.voter_groups if name == label)
 
 
-def _check_voter_count(total: int, max_voters: int) -> None:
-    if total > max_voters:
-        raise ValueError(f"instance would materialise {total} voters, above the limit of {max_voters}")
+def _check_voter_count(voters: int, max_voters: int, candidates: int = 0) -> None:
+    """Refuse a gadget with more voters, or more candidates, than ``max_voters``, before building it."""
+    for total, what in ((voters, "voters"), (candidates, "candidates")):
+        if total > max_voters:
+            raise ValueError(f"instance would materialise {total} {what}, above the limit of {max_voters}")
 
 
 Block = tuple[list[int], int]  # a ballot and the number of voters casting it
@@ -263,7 +272,7 @@ def sav_add_witness(k: int) -> GadgetBundle:
     vote dilutes all ``a_i`` below 1/k while every ``b_j`` stays at least
     1/k, so the unique new winner is the b-block.
     """
-    _check_witness_k(k)
+    _check_witness(k, voters=2, candidates=2 * k)
     a = list(range(k))
     b = list(range(k, 2 * k))
     e = election(2 * k, [a, b])
@@ -288,7 +297,7 @@ def sav_remove_witness(k: int) -> GadgetBundle:
     2k-way tie at 1/(k+1); removing s from the first vote lifts exactly the
     A-block to 1/k.
     """
-    _check_witness_k(k)
+    _check_witness(k, voters=3, candidates=4 * k + 6)
     s = 0
     a = list(range(1, k + 1))
     b = list(range(k + 1, 2 * k))
@@ -325,8 +334,8 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
     prefers the b-block, and the pivot operation hands the a-block one extra
     point, making it the unique winner.
     """
-    _check_witness_k(k)
-    if kind not in ("add", "remove", "swap"):
+    _check_witness(k, voters=k * k + 1, candidates=2 * k)
+    if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
     a = list(range(k))
     b = list(range(k, 2 * k))
@@ -356,9 +365,10 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
     )
 
 
-def _check_witness_k(k: int) -> None:
+def _check_witness(k: int, voters: int, candidates: int) -> None:
     if k < 2:
         raise ValueError(f"witness constructions need k >= 2, got {k}")
+    _check_voter_count(voters, DEFAULT_MAX_VOTERS, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +392,7 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
-    if kind not in ("add", "remove", "swap"):
+    if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
     m_sets = len(inst.sets)
     k = inst.cover_size
@@ -446,7 +456,7 @@ def rx3c_to_greedy(
     """
     if variant not in ("cc", "pav"):
         raise ValueError(f"variant must be 'cc' or 'pav', got {variant!r}")
-    if kind not in ("add", "remove", "swap"):
+    if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
     n = inst.cover_size
     nsets = 3 * n
@@ -521,7 +531,7 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     ``t/(3n)`` also approve ``d``; ``T + 3t^2 - 2t`` voters for ``{p, d}``;
     ``t/(6n)`` voters for ``p`` alone; plus operation padding.
     """
-    if kind not in ("add", "remove", "swap"):
+    if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
     n = inst.cover_size
     nsets = 3 * n
@@ -624,7 +634,7 @@ def phragmen_reduction_timepoints(n: int) -> PhragmenTimepoints:
 # Perfect matchings -> SAV counting
 
 
-def matching_to_sav_counting(g: BipartiteGraph, mode: str) -> GadgetBundle:
+def matching_to_sav_counting(g: BipartiteGraph, mode: str, max_voters: int = DEFAULT_MAX_VOTERS) -> GadgetBundle:
     """Election whose unchanged-bundle count encodes the number of perfect matchings.
 
     All 2n vertex candidates score exactly 2 (edge voters contribute via
@@ -643,19 +653,19 @@ def matching_to_sav_counting(g: BipartiteGraph, mode: str) -> GadgetBundle:
     if n < 2:
         raise ValueError("need at least two vertices per side")
     size = n if mode == "add" else n * n
+    edges = len(g.edges)
+    fillers = 4 * n * size - 2 * edges  # pads each of the 2n vertices to 2 * size ballots
+    _check_voter_count(edges + fillers, max_voters, candidates=2 * n + edges * (size - 2) + fillers * (size - 1))
     ballots: list[list[int]] = []
     next_dummy = 2 * n
     for u, v in g.edges:
         ballots.append([u, n + v] + list(range(next_dummy, next_dummy + size - 2)))
         next_dummy += size - 2
-    fillers = 0
     for side, offset in (("left", 0), ("right", n)):
         for x in range(n):
-            need = 2 * size - g.degree(side, x)
-            for _ in range(need):
+            for _ in range(2 * size - g.degree(side, x)):
                 ballots.append([offset + x] + list(range(next_dummy, next_dummy + size - 1)))
                 next_dummy += size - 1
-            fillers += need
     dummy_count = next_dummy - 2 * n
     e = election(next_dummy, ballots)
     choices = dummy_count - (size - 2) if mode == "add" else size - 2

@@ -10,6 +10,7 @@ for satisfaction-based quantities.  No floats anywhere.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +102,7 @@ def election(m: int, ballots: Iterable[Iterable[int]], tiebreak: Sequence[int] |
 def approval_score(e: Election, candidate: int) -> int:
     """Number of voters approving ``candidate``."""
     _check_candidate(e, candidate)
-    return sum(count for ballot, count in e.groups.items() if candidate in ballot)
+    return approval_scores(e)[candidate]
 
 
 def approval_scores(e: Election) -> list[int]:
@@ -118,21 +119,26 @@ def sav_score(e: Election, candidate: int) -> Fraction:
     Voters with empty ballots contribute nothing to anyone.
     """
     _check_candidate(e, candidate)
-    return sum(
-        (Fraction(count, len(ballot)) for ballot, count in e.groups.items() if candidate in ballot),
-        Fraction(0),
-    )
+    return sav_scores(e)[candidate]
 
 
 def sav_scores(e: Election) -> list[Fraction]:
-    scores = [Fraction(0)] * e.m
+    scores, scale = _scaled_sav_scores(e)
+    return [Fraction(s, scale) for s in scores]
+
+
+def _scaled_sav_scores(e: Election) -> tuple[list[int], int]:
+    """SAV scores times ``scale``, the lcm of the nonempty ballot sizes, so every score is an integer."""
+    sizes = {len(b) for b in e.groups if b}
+    scale = math.lcm(*sizes) if sizes else 1
+    scores = [0] * e.m
     for ballot, count in e.groups.items():
         if not ballot:
             continue
-        share = Fraction(count, len(ballot))
+        share = count * (scale // len(ballot))
         for c in ballot:
             scores[c] += share
-    return scores
+    return scores, scale
 
 
 def committee_score(e: Election, scoring, committee: Iterable[int]):
@@ -140,18 +146,19 @@ def committee_score(e: Election, scoring, committee: Iterable[int]):
 
     ``scoring`` is ``"av"``, ``"sav"``, or a weight sequence ``omega``
     (anything with a ``weights`` attribute also works): the committee's
-    Thiele score is ``sum_v sum_{i=1}^{|ballot_v ∩ S|} omega_i``.
+    Thiele score is ``sum_v sum_{i=1}^{|ballot_v ∩ S|} omega_i``.  AV and
+    SAV are separable, so their committee score is the sum of the members'
+    candidate scores.
     """
     members = frozenset(committee)
     for c in members:
         _check_candidate(e, c)
     if scoring == "av":
-        return sum(len(ballot & members) * count for ballot, count in e.groups.items())
+        scores = approval_scores(e)
+        return sum(scores[c] for c in members)
     if scoring == "sav":
-        return sum(
-            (Fraction(len(ballot & members) * count, len(ballot)) for ballot, count in e.groups.items() if ballot),
-            Fraction(0),
-        )
+        scores = sav_scores(e)
+        return sum((scores[c] for c in members), Fraction(0))
     weights = tuple(getattr(scoring, "weights", scoring))
     if len(weights) < len(members):
         raise ValueError(f"weight vector has {len(weights)} entries, committee has {len(members)}")

@@ -162,10 +162,10 @@ def _sav_radius_irresolute(e: Election, ws, scores, kind: str) -> Finite | Impos
     # The pool consists of zero-score candidates (so all positive candidates
     # are forced).  Score shifts among positive candidates never change the
     # forced/pool split; only erasing some positive candidate entirely does.
-    positive = [c for c in range(e.m) if scores[c] > 0]
+    positive = [a for a in approval_scores(e) if a > 0]  # approved exactly when SAV-positive
     if not positive:
         return Impossible()
-    return Finite(min(sum(1 for b in e.ballots if c in b) for c in positive))
+    return Finite(min(positive))
 
 
 def _sav_pair_cost(e: Election, kind: str, x: int, y: int, delta: Fraction) -> int | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import CapExceeded, Committee, Election, approval_scores
+from .core import CapExceeded, Committee, Election, _scaled_sav_scores, approval_scores
 
 #: Default bound on how many committees an operation may enumerate.
 DEFAULT_CAP = 10**6
@@ -198,29 +198,14 @@ def winners_separable(e: Election, k: int, scoring: str) -> ThresholdWinners:
     completion from the candidates tying the k-th highest score.
     """
     _check_k(e, k)
-    scores = _integer_candidate_scores(e, scoring)
+    if scoring not in ("av", "sav"):
+        raise ValueError(f"separable scoring must be 'av' or 'sav', got {scoring!r}")
+    # SAV scores scaled to integers by a common denominator: same order and ties
+    scores = approval_scores(e) if scoring == "av" else _scaled_sav_scores(e)[0]
     threshold = sorted(scores, reverse=True)[k - 1]
     forced = frozenset(c for c in range(e.m) if scores[c] > threshold)
     pool = frozenset(c for c in range(e.m) if scores[c] == threshold)
     return ThresholdWinners(k=k, forced=forced, pool=pool, slots=k - len(forced))
-
-
-def _integer_candidate_scores(e: Election, scoring: str) -> list[int]:
-    """Candidate scores as integers (SAV scores scaled by a common denominator)."""
-    if scoring == "av":
-        return approval_scores(e)
-    if scoring != "sav":
-        raise ValueError(f"separable scoring must be 'av' or 'sav', got {scoring!r}")
-    sizes = {len(b) for b in e.groups if b}
-    scale = math.lcm(*sizes) if sizes else 1
-    scores = [0] * e.m
-    for ballot, count in e.groups.items():
-        if not ballot:
-            continue
-        share = count * (scale // len(ballot))
-        for c in ballot:
-            scores[c] += share
-    return scores
 
 
 def winners_thiele(e: Election, k: int, omega: ThieleVector, cap: int = DEFAULT_CAP) -> ExplicitWinners:
@@ -317,44 +302,36 @@ def phragmen_trace(e: Election, k: int) -> tuple[Committee, tuple[tuple[int, Fra
     Priority-order fill-ins for approval-less candidates do not appear in
     the log, since no purchase happens for them.
 
-    Voters with identical ballots always hold identical balances, so the
-    computation runs on ballot groups.
+    Computed by voter loads: a voter's load is the time it last paid, so at
+    time t its balance is ``t - load``.  The approvers of ``c`` therefore
+    hold one unit at time ``(1 + sum of their loads) / approvals(c)``; the
+    earliest such time is the next purchase, and it becomes the load of the
+    buyers.  Voters with identical ballots always carry identical loads, so
+    the computation runs on ballot groups.
     """
     _check_k(e, k)
-    groups = list(e.groups.items())
-    balance = [Fraction(0)] * len(groups)
-    supporters: dict[int, list[int]] = {c: [] for c in range(e.m)}
+    counts = list(e.groups.values())
+    supporters: list[list[int]] = [[] for _ in range(e.m)]
     approvals = [0] * e.m
-    for gi, (ballot, cnt) in enumerate(groups):
+    for gi, (ballot, cnt) in enumerate(e.groups.items()):
         for c in ballot:
             supporters[c].append(gi)
             approvals[c] += cnt
-    rank = e.priority_rank()
-    chosen: list[int] = []
-    selected: set[int] = set()
-    clock = Fraction(0)
+    load = [Fraction(0)] * len(counts)
+    unbought = [c for c in e.priority() if approvals[c]]  # min() keeps the first, so ties go by priority
     purchases: list[tuple[int, Fraction]] = []
-    while len(chosen) < k:
-        best_c, best_wait = None, None
-        for c in range(e.m):
-            if c in selected or approvals[c] == 0:
-                continue
-            held = sum(groups[gi][1] * balance[gi] for gi in supporters[c])
-            wait = (1 - held) / approvals[c]
-            if best_wait is None or wait < best_wait or (wait == best_wait and rank[c] < rank[best_c]):
-                best_c, best_wait = c, wait
-        if best_c is None:
-            # only approval-less candidates remain
-            fill = [c for c in e.priority() if c not in selected]
-            chosen.extend(fill[: k - len(chosen)])
-            break
-        balance = [b + best_wait for b in balance]
-        clock += best_wait
-        for gi in supporters[best_c]:
-            balance[gi] = Fraction(0)
-        chosen.append(best_c)
-        selected.add(best_c)
-        purchases.append((best_c, clock))
+    while unbought and len(purchases) < k:
+        time, best = min(
+            (((1 + sum(counts[gi] * load[gi] for gi in supporters[c])) / approvals[c], c) for c in unbought),
+            key=lambda pair: pair[0],
+        )
+        for gi in supporters[best]:
+            load[gi] = time
+        unbought.remove(best)
+        purchases.append((best, time))
+    chosen = [c for c, _ in purchases]
+    # if every approved candidate is bought, approval-less ones fill the rest in priority order
+    chosen += [c for c in e.priority() if c not in chosen][: k - len(chosen)]
     return tuple(sorted(chosen)), tuple(purchases)
 
 

@@ -76,6 +76,15 @@ class TestElectionFormat:
             parse_election("m x n 2\n")
         with pytest.raises(ValueError, match="line 2: expected an integer, got 'x'"):
             parse_election("m 2 n 1\nx: 0\n")
+        # int() alone would read these as voter 0 approving candidate 10, resp. 1
+        with pytest.raises(ValueError, match="^line 2: expected an integer, got '0_0'$"):
+            parse_election("m 11 n 1\n0_0: 1_0\n")
+        with pytest.raises(ValueError, match="^line 2: expected an integer, got '\u0660'$"):
+            parse_election("m 2 n 1\n\u0660: +1\n")
+        with pytest.raises(ValueError, match="^line 2: expected an integer, got '\\+1'$"):
+            parse_election("m 2 n 1\n0: +1\n")
+        with pytest.raises(ValueError, match="^line 1: expected an integer, got '\\+2'$"):
+            parse_election("m +2 n 1\n0: 1\n")
         with pytest.raises(ValueError, match="^line 3: expected '<voter>: <candidates>'$"):
             parse_election("m 3 n 1\n0: 0\ntiebreak\n")  # a tiebreak line needs its colon
         with pytest.raises(ValueError, match="^line 4: expected '<voter>: <candidates>'$"):
@@ -105,6 +114,7 @@ class TestElectionFormat:
         e = parse_election("m 3 n 3\n0:1 2\n1: 1 2\n2:  1   2  # same\n")
         assert e.ballots == (frozenset({1, 2}),) * 3
         assert e.groups == {frozenset({1, 2}): 3}
+        assert parse_election("m 3 n 1\n0 : 1 2\n") == election(3, [[1, 2]])  # space before the colon
 
     def test_cached_ballots_in_any_voter_order(self):
         e = parse_election("m 3 n 4\n3: 0\n1: 2\n0: 0\n2: 2\n")
@@ -330,6 +340,29 @@ class TestReduce:
         code, _, err = invoke(capsys, "reduce", "thiele", str(covered), "--alpha", "99/100", "--max-voters", "100")
         assert code == 2
         assert "4807 voters" in err["error"]
+        graph = tmp_path / "cycle.graph"
+        graph.write_text(serialize_graph(BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))))
+        code, _, err = invoke(capsys, "reduce", "sav-count", str(graph), "--max-voters", "11")
+        assert code == 2
+        assert "12 voters" in err["error"]
+
+    @pytest.mark.parametrize("argv, count", [
+        (["witness", "--which", "thiele-add", "--k", "3000"], "9000001 voters"),
+        (["reduce", "sav-count", "GRAPH", "--op", "remove"], "31795248 candidates"),
+    ])
+    def test_unbounded_builds_refused_before_allocating(self, capsys, tmp_path, argv, count):
+        graph = tmp_path / "empty24.graph"
+        graph.write_text(serialize_graph(BipartiteGraph(24, 24, ())))
+        argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+        tracemalloc.start()
+        try:
+            code, _, err = invoke(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert count in err["error"] and err["exit_code"] == 2
+        assert peak < 1_000_000
 
 
 class TestDiff:

@@ -94,6 +94,10 @@ class TestFileFormats:
             parse_x3c("universe\nset 0 1 2\n")  # size missing
         with pytest.raises(ValueError, match="line 2: expected an integer, got 'x'"):
             parse_x3c("universe 3\nset 0 1 x\n")
+        with pytest.raises(ValueError, match="^line 1: expected an integer, got '\\+6'$"):
+            parse_x3c("universe +6\nset 0 1 2\n")
+        with pytest.raises(ValueError, match="^line 2: expected an integer, got '\u0665'$"):
+            parse_x3c("universe 6\nset 3 4 \u0665\n")
 
     def test_graph_round_trip(self):
         g = BipartiteGraph(2, 3, ((0, 0), (0, 2), (1, 1)))
@@ -109,6 +113,8 @@ class TestFileFormats:
                 parse_graph(text)
         with pytest.raises(ValueError, match="line 3: expected an integer, got 'x'"):
             parse_graph("left 2\nright 2\nedge 0 x\n")
+        with pytest.raises(ValueError, match="^line 1: expected an integer, got '0_2'$"):
+            parse_graph("left 0_2\nright 2\n")
 
 
 class TestExactCoverSolver:
@@ -206,6 +212,10 @@ class TestThieleWitness:
     def test_validation(self):
         with pytest.raises(ValueError):
             thiele_witness(1, "add")
+        with pytest.raises(ValueError, match="^instance would materialise 9000001 voters"):
+            thiele_witness(3000, "add")  # k^2 + 1 voters
+        with pytest.raises(ValueError, match="^instance would materialise 2000002 candidates"):
+            sav_add_witness(1_000_001)
         with pytest.raises(ValueError):
             thiele_witness(3, "flip")
 
@@ -362,6 +372,26 @@ class TestMatchingGadget:
             matching_to_sav_counting(BipartiteGraph(2, 3, ()), "add")
         with pytest.raises(ValueError):
             matching_to_sav_counting(BipartiteGraph(1, 1, ((0, 0),)), "add")
+
+    @pytest.mark.parametrize("mode", ["add", "remove"])
+    @pytest.mark.parametrize("graph", [
+        BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1))),
+        BipartiteGraph(3, 3, ((0, 1), (1, 2), (2, 0))),
+        BipartiteGraph(3, 3, ()),
+    ])
+    def test_size_limit_is_exact(self, graph, mode):
+        e = matching_to_sav_counting(graph, mode).election
+        assert matching_to_sav_counting(graph, mode, max_voters=max(e.n, e.m)).election == e
+        with pytest.raises(ValueError, match=f"^instance would materialise {e.n} voters"):
+            matching_to_sav_counting(graph, mode, max_voters=e.n - 1)
+        if e.m > e.n:
+            with pytest.raises(ValueError, match=f"^instance would materialise {e.m} candidates"):
+                matching_to_sav_counting(graph, mode, max_voters=e.m - 1)
+
+    def test_size_checked_before_building(self):
+        # 55,296 voters, under the default limit, but about 32 million dummy candidates
+        with pytest.raises(ValueError, match="candidates, above the limit of 2000000$"):
+            matching_to_sav_counting(BipartiteGraph(24, 24, ()), "remove")
 
 
 class TestShortcut:

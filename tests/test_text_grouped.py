@@ -28,12 +28,13 @@ from mwrobust.cli import parse_election, serialize_election
 
 
 def _reference_ints(tokens: list[str], lineno: int) -> list[int]:
+    """Each token must be ASCII decimal digits, optionally after one ``-``."""
     numbers = []
     for token in tokens:
-        try:
-            numbers.append(int(token))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+        digits = token[1:] if token.startswith("-") else token
+        if not digits or any(ch not in "0123456789" for ch in digits):
+            raise ValueError(f"line {lineno}: expected an integer, got {token!r}")
+        numbers.append(int(token))
     return numbers
 
 
@@ -62,7 +63,7 @@ def reference_parse(text: str) -> Election:
         left, colon, right = line.partition(":")
         if not colon:
             raise ValueError(f"line {lineno}: expected '<voter>: <candidates>'")
-        voter, *candidates = _reference_ints([left, *right.split()], lineno)
+        voter, *candidates = _reference_ints([left.rstrip(), *right.split()], lineno)
         if voter in ballots_by_voter:
             raise ValueError(f"line {lineno}: duplicate ballot for voter {voter}")
         if any(b <= a for a, b in zip(candidates, candidates[1:])):
