@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Election, approval_scores
+from .core import CapExceeded, Election, approval_scores
 from .perturb import apply_sequence, feasible_operations
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal
 
@@ -202,19 +202,22 @@ def _bounded_ways(
 def oracle_count_unchanged(
     e: Election, k: int, rule: RuleSpec, kind: str, budget: int, cap: int = DEFAULT_CAP
 ) -> CountOutcome:
-    """Count unchanged bundles by enumerating every B-subset of cells."""
+    """Count unchanged bundles by enumerating every B-subset of cells, if there are at most ``cap``."""
     if kind not in COUNT_KINDS:
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
     cells = feasible_operations(e, kind)
     if not 0 <= budget <= len(cells):
         raise ValueError(f"budget {budget} not in [0, {len(cells)}]")
+    total = math.comb(len(cells), budget)
+    if total > cap:
+        raise CapExceeded(f"enumerating C({len(cells)},{budget}) bundles exceeds cap {cap}")
     base = winner_set(e, k, rule, cap)
     unchanged = 0
     for combo in itertools.combinations(cells, budget):
         # distinct cells of one kind never block each other, so every prefix is feasible
         if winner_sets_equal(base, winner_set(apply_sequence(e, combo), k, rule, cap), cap):
             unchanged += 1
-    return CountOutcome(unchanged, math.comb(len(cells), budget))
+    return CountOutcome(unchanged, total)
 
 
 def count_unchanged(

@@ -21,7 +21,10 @@ DEFAULT_CAP = 10**6
 
 @dataclass(frozen=True)
 class ThieleVector:
-    """Weight vector ``omega``; a voter's j-th approved committee member is worth ``weights[j-1]``."""
+    """Weight vector ``omega``; a voter's j-th approved committee member is worth ``weights[j-1]``.
+
+    ``integer_weights``, derived and not a field, is ``weights`` times the lcm of their denominators.
+    """
 
     weights: tuple[Fraction, ...]
 
@@ -30,6 +33,8 @@ class ThieleVector:
             raise ValueError("weight vector must be nonempty")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        object.__setattr__(self, "integer_weights", tuple(w.numerator * (scale // w.denominator) for w in self.weights))
 
     @classmethod
     def av(cls, k: int) -> "ThieleVector":
@@ -215,10 +220,7 @@ def winners_thiele(e: Election, k: int, omega: ThieleVector, cap: int = DEFAULT_
         raise ValueError(f"weight vector has {len(omega.weights)} entries but k={k}")
     if math.comb(e.m, k) > cap:
         raise CapExceeded(f"enumerating C({e.m},{k}) committees exceeds cap {cap}")
-    weights = _integer_weights(omega, k)
-    prefix = [0]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
+    prefix = [0, *itertools.accumulate(omega.integer_weights[:k])]
     groups = e.groups.items()
     best_score = None
     best: list[Committee] = []
@@ -230,13 +232,6 @@ def winners_thiele(e: Election, k: int, omega: ThieleVector, cap: int = DEFAULT_
         elif score == best_score:
             best.append(combo)
     return ExplicitWinners(tuple(best))
-
-
-def _integer_weights(omega: ThieleVector, k: int) -> list[int]:
-    """First ``k`` weights scaled to integers (order- and tie-exact)."""
-    head = omega.weights[:k]
-    scale = math.lcm(*(w.denominator for w in head))
-    return [int(w * scale) for w in head]
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +256,20 @@ def greedy_thiele(e: Election, k: int, omega: ThieleVector, initial: Sequence[in
             raise ValueError(f"seed candidate {c} not in [0, {e.m})")
     if len(chosen) > k:
         raise ValueError(f"seed committee has {len(chosen)} members but k={k}")
-    weights = _integer_weights(omega, k)
+    weights = omega.integer_weights
     groups = list(e.groups.items())
     sat = [len(ballot & frozenset(chosen)) for ballot, _ in groups]
-    rank = e.priority_rank()
-    selected = set(chosen)
+    unpicked = [c for c in e.priority() if c not in chosen]
     while len(chosen) < k:
         marginal = [0] * e.m
         for gi, (ballot, cnt) in enumerate(groups):
-            w = weights[sat[gi]] if sat[gi] < k else 0
-            if not w:
-                continue
-            for c in ballot:
-                if c not in selected:
+            w = weights[sat[gi]]  # sat <= len(chosen) < k
+            if w:
+                for c in ballot:
                     marginal[c] += cnt * w
-        best = min((c for c in range(e.m) if c not in selected), key=lambda c: (-marginal[c], rank[c]))
+        best = max(unpicked, key=marginal.__getitem__)  # max keeps the first, so ties go by priority
         chosen.append(best)
-        selected.add(best)
+        unpicked.remove(best)
         for gi, (ballot, _) in enumerate(groups):
             if best in ballot:
                 sat[gi] += 1
@@ -299,36 +291,45 @@ def phragmen(e: Election, k: int) -> Committee:
 def phragmen_trace(e: Election, k: int) -> tuple[Committee, tuple[tuple[int, Fraction], ...]]:
     """Phragmén committee plus the (candidate, purchase time) event log.
 
-    Priority-order fill-ins for approval-less candidates do not appear in
-    the log, since no purchase happens for them.
-
-    Computed by voter loads: a voter's load is the time it last paid, so at
-    time t its balance is ``t - load``.  The approvers of ``c`` therefore
-    hold one unit at time ``(1 + sum of their loads) / approvals(c)``; the
-    earliest such time is the next purchase, and it becomes the load of the
-    buyers.  Voters with identical ballots always carry identical loads, so
-    the computation runs on ballot groups.
+    Priority-order fill-ins for approval-less candidates are not logged.
+    Computed by voter loads: with money earned at unit rate, a voter's load
+    is the time it last paid, so at time t its balance is ``t - load`` and
+    the approvers of ``c`` hold one unit at ``(1 + sum of their loads) /
+    approvals(c)``.  The earliest such time is the next purchase and becomes
+    the buyers' load.  Loads are kept per ballot group as integers over one
+    common ``scale``, and times are compared by cross-multiplication; a
+    purchase at ``num / (scale * a)`` multiplies ``scale`` and every load by
+    ``a / gcd(num, a)``.  So ``scale`` is a product of at most k approval
+    counts and has O(k log n) bits.
     """
     _check_k(e, k)
-    counts = list(e.groups.values())
-    supporters: list[list[int]] = [[] for _ in range(e.m)]
-    approvals = [0] * e.m
-    for gi, (ballot, cnt) in enumerate(e.groups.items()):
-        for c in ballot:
-            supporters[c].append(gi)
-            approvals[c] += cnt
-    load = [Fraction(0)] * len(counts)
-    unbought = [c for c in e.priority() if approvals[c]]  # min() keeps the first, so ties go by priority
+    groups = list(e.groups.items())
+    approvals = approval_scores(e)
+    scale = 1
+    load = [0] * len(groups)  # per voter of the group, times scale
+    owed = [0] * e.m  # sum of the approvers' loads, times scale
+    unbought = [c for c in e.priority() if approvals[c]]
     purchases: list[tuple[int, Fraction]] = []
     while unbought and len(purchases) < k:
-        time, best = min(
-            (((1 + sum(counts[gi] * load[gi] for gi in supporters[c])) / approvals[c], c) for c in unbought),
-            key=lambda pair: pair[0],
-        )
-        for gi in supporters[best]:
-            load[gi] = time
+        best = unbought[0]
+        num, a = scale + owed[best], approvals[best]
+        for c in unbought:
+            if (scale + owed[c]) * a < num * approvals[c]:  # strict: ties go to the earlier in priority
+                best, num, a = c, scale + owed[c], approvals[c]
+        d = a // math.gcd(num, a)
+        if d > 1:
+            scale *= d
+            load = [x * d for x in load]
+            owed = [x * d for x in owed]
+        paid = num * d // a
+        for gi, (ballot, cnt) in enumerate(groups):
+            if best in ballot:
+                delta = cnt * (paid - load[gi])
+                load[gi] = paid
+                for c in ballot:
+                    owed[c] += delta
         unbought.remove(best)
-        purchases.append((best, time))
+        purchases.append((best, Fraction(paid, scale)))
     chosen = [c for c, _ in purchases]
     # if every approved candidate is bought, approval-less ones fill the rest in priority order
     chosen += [c for c in e.priority() if c not in chosen][: k - len(chosen)]

@@ -253,6 +253,19 @@ class TestCount:
         )
         assert code == 2
 
+    def test_oracle_bundles_bounded_by_cap(self, capsys, tmp_path, monkeypatch):
+        # 46 addable cells: C(46, 20) ~ 5.6e12 bundles, refused before the first winner set
+        path = tmp_path / "wide.elec"
+        path.write_text("m 6 n 10\n0: 0 1\n1: 0 1\n2: 0 2\n3: 1 3\n4: 0\n5: 1\n6: 2\n7: 4\n8: 5\n9: 5\n")
+        monkeypatch.setattr("mwrobust.counting.winner_set", None)  # an enumeration would raise TypeError
+        argv = ("count", str(path), "--rule", "pav", "--k", "2", "--op", "add", "--budget", "20", "--method", "oracle")
+        for cap in (("--cap", "1000"), ()):
+            code, payload, err = invoke(capsys, *argv, *cap)
+            assert code == 3
+            assert payload == ""
+            assert err["exit_code"] == 3
+            assert "C(46,20) bundles exceeds cap" in err["error"]
+
 
 class TestLevel:
     def test_split_vote(self, capsys, tmp_path):

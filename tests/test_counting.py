@@ -7,7 +7,10 @@ from math import comb
 
 import pytest
 
+import mwrobust.counting
 from mwrobust import (
+    CapExceeded,
+    CountOutcome,
     av_count_state,
     av_count_unchanged,
     count_unchanged,
@@ -145,3 +148,28 @@ class TestAgainstOracle:
             dp = av_count_unchanged(e, k, kind, budget)
             brute = oracle_count_unchanged(e, k, preset_rule("av", k), kind, budget)
             assert dp == brute, (e, k, kind, budget)
+
+
+class TestOracleCap:
+    # 14 approvals over 6 candidates and 10 voters: 46 addable cells, C(46, 20) ~ 5.6e12 bundles
+    WIDE = election(6, [[0, 1], [0, 1], [0, 2], [1, 3], [0], [1], [2], [4], [5], [5]])
+
+    def test_bundle_count_checked_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("winner_set called before the bundle count was checked")
+
+        monkeypatch.setattr(mwrobust.counting, "winner_set", no_enumeration)
+        rule = preset_rule("pav", 2)
+        with pytest.raises(CapExceeded, match=r"^enumerating C\(46,20\) bundles exceeds cap 1000$"):
+            oracle_count_unchanged(self.WIDE, 2, rule, "add", 20, cap=1000)
+        with pytest.raises(CapExceeded):
+            count_unchanged(self.WIDE, 2, rule, "add", 20, method="oracle", cap=1000)
+        with pytest.raises(CapExceeded):
+            oracle_count_unchanged(self.WIDE, 2, rule, "add", 20)  # the default cap, 10^6, is exceeded too
+
+    def test_cap_bounds_the_bundles_inclusively(self):
+        e = election(3, [[0], [0]])  # 4 addable cells, C(4, 2) = 6 bundles
+        rule = preset_rule("av", 1)
+        assert oracle_count_unchanged(e, 1, rule, "add", 2, cap=6) == CountOutcome(4, 6)
+        with pytest.raises(CapExceeded, match=r"C\(4,2\) bundles exceeds cap 5"):
+            oracle_count_unchanged(e, 1, rule, "add", 2, cap=5)
