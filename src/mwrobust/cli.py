@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("election", help="election file ('-' for stdin)")
         p.add_argument("--rule", choices=RULE_PRESETS, required=True)
         p.add_argument("--k", type=int, required=True, help="committee size")
-        p.add_argument("--cap", type=int, help="bound on enumerated committees and, for count --method oracle, bundles")
+        p.add_argument("--cap", type=int, help="bound on enumerated committees, and on oracle bundles and elections")
         if op:
             p.add_argument("--op", choices=OP_KINDS, required=True)
         if budget:

@@ -20,7 +20,7 @@ Committee = tuple[int, ...]  # sorted, distinct candidate indices
 
 
 class CapExceeded(Exception):
-    """Raised when an operation would enumerate more committees than allowed."""
+    """Raised when an operation would enumerate more committees, bundles or searched elections than allowed."""
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,26 @@ class Election:
         object.__setattr__(self, "groups", groups)
 
     def _with_ballot(self, voter: int, ballot: frozenset[int]) -> Election:
-        """This election with ``voter`` casting the valid ``ballot``, unchecked: a tuple copy plus O(groups)."""
+        """This election with ``voter`` casting the valid ``ballot``, unchecked, in O(groups).
+
+        The child keeps this voter tuple and the edit, and builds its own ``ballots`` when first read.
+        """
+        parent = self.ballots
         groups = dict(self.groups)
-        old = self.ballots[voter]
+        old = parent[voter]
         groups[old] -= 1
         if not groups[old]:
             del groups[old]
         groups[ballot] = groups.get(ballot, 0) + 1
         child = object.__new__(Election)
-        # one list copy, not two slices and two concatenations: every copied reference
-        # is an increment, and these serialize when many voters share one ballot object
-        ballots = list(self.ballots)
-        ballots[voter] = ballot
-        child.__dict__.update(vars(self), ballots=tuple(ballots), groups=groups)
+        child.__dict__.update(
+            num_candidates=self.num_candidates, tiebreak=self.tiebreak, groups=groups, _edit=(parent, voter, ballot)
+        )
         return child
+
+    def __getstate__(self) -> dict:
+        self.ballots  # pickle and copy carry the built tuple, not the edit record
+        return self.__dict__
 
     @property
     def m(self) -> int:
@@ -88,6 +94,29 @@ class Election:
 
     def approvers(self, candidate: int) -> list[int]:
         return [v for v, ballot in enumerate(self.ballots) if candidate in ballot]
+
+
+class _EditedBallots:
+    """``Election.ballots`` of an ``apply`` child: built from its edit record on first read, then stored."""
+
+    def __get__(self, e: Election | None, owner: type | None = None):
+        if e is None:
+            return self
+        edit = e.__dict__.get("_edit")
+        if edit is None:  # another thread read them first: the tuple is stored before the record goes
+            return e.__dict__["ballots"]
+        parent, voter, ballot = edit
+        # one list copy, not two slices and two concatenations: every copied reference
+        # is an increment, and these serialize when many voters share one ballot object
+        ballots = list(parent)
+        ballots[voter] = ballot
+        e.__dict__["ballots"] = ballots = tuple(ballots)
+        e.__dict__.pop("_edit", None)
+        return ballots
+
+
+# a non-data descriptor, not ``__getattr__``, which would slow every attribute load on every election
+Election.ballots = _EditedBallots()
 
 
 def election(m: int, ballots: Iterable[Iterable[int]], tiebreak: Sequence[int] | None = None) -> Election:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Election, approval_scores, sav_scores
+from .core import CapExceeded, Election, approval_scores, sav_scores
 from .perturb import OP_KINDS, Operation, apply, feasible_operations
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal, winners_separable
 
@@ -312,6 +312,8 @@ def oracle_radius(
     set differs.  Returns ``Impossible`` when the whole reachable space is
     exhausted without a change, and ``ExceedsBound(max_budget)`` when the
     budget runs out first.  A ``Finite`` result carries a witness sequence.
+    Raises ``CapExceeded`` before the search would hold more than ``cap``
+    distinct elections, ``e`` included; ``cap`` also bounds each winner set.
     """
     if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
@@ -327,6 +329,8 @@ def oracle_radius(
                 e2 = apply(elec, op)
                 if e2.ballots in visited:
                     continue
+                if len(visited) >= cap:
+                    raise CapExceeded(f"visiting {len(visited) + 1} elections exceeds cap {cap}")
                 visited.add(e2.ballots)
                 if not winner_sets_equal(base, winner_set(e2, k, rule, cap), cap):
                     return Finite(depth, witness=ops + (op,))

@@ -415,6 +415,18 @@ class TestExitCodes:
             assert code == 3
             assert err["exit_code"] == 3
 
+    def test_oracle_radius_states_bounded_by_cap(self, capsys, tmp_path):
+        path = tmp_path / "clear.elec"
+        path.write_text("m 3 n 3\n0: 0\n1: 0\n2: 0\n")
+        argv = ("radius", str(path), "--rule", "pav", "--k", "1", "--op", "add", "--method", "oracle", "--budget", "2")
+        code, payload, _ = invoke(capsys, *argv, "--cap", "22")  # the input plus 6 + 15 perturbed elections
+        assert code == 0 and payload["decision"] is False
+        code, payload, err = invoke(capsys, *argv, "--cap", "21")
+        assert code == 3
+        assert payload == ""
+        assert err["exit_code"] == 3
+        assert err["error"] == "visiting 22 elections exceeds cap 21"
+
     def test_cap_env_var(self, capsys, small_path, monkeypatch):
         monkeypatch.setenv("MWROBUST_CAP", "1")
         code, _, err = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1")

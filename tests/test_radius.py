@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
 from mwrobust import (
+    CapExceeded,
     ExceedsBound,
     Finite,
     Impossible,
@@ -152,6 +154,15 @@ class TestOracle:
                 continue
             below = oracle_radius(e, k, rule, kind, max_budget=out.value - 1)
             assert below == ExceedsBound(out.value - 1)
+
+    def test_states_bounded_by_cap(self):
+        # AV add radius 3, so budget 2 visits the input and every set of at most two of its 6 add cells
+        e = election(3, [[0], [0], [0]])
+        rule = preset_rule("pav", 1)
+        states = sum(comb(6, d) for d in range(3))
+        assert oracle_radius(e, 1, rule, "add", max_budget=2, cap=states) == ExceedsBound(2)
+        with pytest.raises(CapExceeded, match=rf"^visiting {states} elections exceeds cap {states - 1}$"):
+            oracle_radius(e, 1, rule, "add", max_budget=2, cap=states - 1)
 
 
 class TestAvAgainstOracle:
