@@ -55,6 +55,7 @@ def parse_election(text: str) -> Election:
     ``<voter>: <candidates>`` line per voter (strictly increasing indices,
     possibly empty), an optional ``tiebreak: <permutation>`` line, and
     ``#`` comments.  Numbers are ASCII decimal digits, optionally after a ``-``.
+    The candidate count is at most ``DEFAULT_MAX_VOTERS``, the limit gadgets obey.
 
     Each distinct candidate text is converted and checked once; voters with
     equal candidate texts share one frozenset, so a repeated line costs one
@@ -75,6 +76,8 @@ def parse_election(text: str) -> Election:
             header = tuple(cons._ints([fields[1], fields[3]], lineno))
             if header[1] < 0:
                 raise ValueError(f"line {lineno}: voter count must be nonnegative, got {header[1]}")
+            if header[0] > (limit := cons.DEFAULT_MAX_VOTERS):
+                raise ValueError(f"line {lineno}: candidate count {header[0]} is above the limit of {limit}")
             continue
         left, colon, right = line.partition(":")
         if colon and left == "tiebreak":

@@ -85,16 +85,6 @@ class Election:
             return self.tiebreak
         return tuple(range(self.num_candidates))
 
-    def priority_rank(self) -> list[int]:
-        """rank[c] = position of candidate c in the tie-breaking order."""
-        rank = [0] * self.num_candidates
-        for pos, c in enumerate(self.priority()):
-            rank[c] = pos
-        return rank
-
-    def approvers(self, candidate: int) -> list[int]:
-        return [v for v, ballot in enumerate(self.ballots) if candidate in ballot]
-
 
 class _EditedBallots:
     """``Election.ballots`` of an ``apply`` child: built from its edit record on first read, then stored."""

@@ -1,7 +1,9 @@
 """Robustness radius: fewest single-approval operations that change the winner set.
 
 ``av_radius`` and ``sav_radius`` are exact closed-form/greedy algorithms for
-the two separable rules; ``oracle_radius`` is a rule-agnostic breadth-first
+the two separable rules; they read the ballot groups ``e.groups``, never the
+voter tuple (SAV counts, per candidate pair, the votes of each size that
+approve x, y, both or neither).  ``oracle_radius`` is a rule-agnostic breadth-first
 search over perturbed elections, usable as an independent check and for the
 sequential rules; ``robustness_radius`` chooses between them.  All radii
 are with respect to one operation kind applied repeatedly (``add``,
@@ -9,8 +11,7 @@ are with respect to one operation kind applied repeatedly (``add``,
 """
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,11 +67,11 @@ def av_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
     _check_radius_args(e, k, kind)
     scores = approval_scores(e)
     z = sorted(scores, reverse=True)
-    n = e.n
     zk, zk1 = z[k - 1], z[k]
     if kind == "add":
         if zk > zk1:
             return Finite(zk - zk1)
+        n = sum(e.groups.values())
         if zk < n:
             return Finite(1)
         # boundary tied at n: every add-reachable change must lift some
@@ -93,7 +94,7 @@ def av_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
     # swap
     if zk > zk1:
         return Finite((zk - zk1 + 1) // 2)
-    if any(0 < len(ballot) < e.m for ballot in e.ballots):
+    if any(0 < len(ballot) < e.m for ballot in e.groups):
         return Finite(1)
     return Impossible()  # every ballot is empty or complete: no swap exists
 
@@ -121,13 +122,7 @@ def sav_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
         return _sav_radius_irresolute(e, ws, scores, kind)
     winners = sorted(ws.forced | ws.pool)
     losers = [c for c in range(e.m) if c not in ws.forced and c not in ws.pool]
-    best: int | None = None
-    for x in winners:
-        for y in losers:
-            cost = _sav_pair_cost(e, kind, x, y, scores[x] - scores[y])
-            if cost is not None and (best is None or cost < best):
-                best = cost
-    return Finite(best) if best is not None else Impossible()
+    return _min_pair_cost(e, kind, scores, [(x, y) for x in winners for y in losers])
 
 
 def _sav_radius_irresolute(e: Election, ws, scores, kind: str) -> Finite | Impossible:
@@ -135,11 +130,11 @@ def _sav_radius_irresolute(e: Election, ws, scores, kind: str) -> Finite | Impos
     if kind == "swap":
         # a swap never changes a ballot's size, so moving one approval onto
         # (or off) a tied candidate splits the pool whenever any swap exists
-        if any(0 < len(ballot) < e.m for ballot in e.ballots):
+        if any(0 < len(ballot) < e.m for ballot in e.groups):
             return Finite(1)
         return Impossible()
     if kind == "add":
-        if any(c not in ballot for ballot in e.ballots for c in pool):
+        if any(c not in ballot for ballot in e.groups for c in pool):
             return Finite(1)  # adding a tied candidate to that vote splits the pool
         # Saturated pool: every tied candidate sits in every ballot, so no
         # add ever breaks their tie; the family changes only once some
@@ -147,15 +142,7 @@ def _sav_radius_irresolute(e: Election, ws, scores, kind: str) -> Finite | Impos
         # pair-greedy as in the resolute case, with any pool member as x.
         if not pool or len(pool) == e.m:
             return Impossible()
-        x = pool[0]
-        best: int | None = None
-        for y in range(e.m):
-            if y in ws.pool:
-                continue
-            cost = _sav_pair_cost(e, "add", x, y, scores[x] - scores[y])
-            if cost is not None and (best is None or cost < best):
-                best = cost
-        return Finite(best) if best is not None else Impossible()
+        return _min_pair_cost(e, "add", scores, [(pool[0], y) for y in range(e.m) if y not in ws.pool])
     # remove
     if any(scores[c] > 0 for c in pool):
         return Finite(1)  # removing an approval of a tied candidate drops it out of the pool
@@ -168,67 +155,59 @@ def _sav_radius_irresolute(e: Election, ws, scores, kind: str) -> Finite | Impos
     return Finite(min(positive))
 
 
+def _min_pair_cost(e: Election, kind: str, scores, pairs) -> Finite | Impossible:
+    """The cheapest pair of ``pairs``: fewest ops of ``kind`` making some y's SAV score reach its x's."""
+    costs = [_sav_pair_cost(e, kind, x, y, scores[x] - scores[y]) for x, y in pairs]
+    costs = [c for c in costs if c is not None]
+    return Finite(min(costs)) if costs else Impossible()
+
+
 def _sav_pair_cost(e: Election, kind: str, x: int, y: int, delta: Fraction) -> int | None:
-    """Fewest ops of ``kind`` making y's SAV score reach x's (``None`` if unreachable)."""
+    """Fewest ops of ``kind`` making y's SAV score reach x's (``None`` if unreachable).
+
+    An operation's effect on the pair depends only on its vote's size ``a``
+    and on whether the vote approves x and y, so the votes are counted by
+    ``(a, x in vote, y in vote)`` once.
+    """
     if delta <= 0:
         return 0
-    if kind == "add":
-        return _greedy_cover(_pair_add_gains(e, x, y), delta)
-    if kind == "swap":
-        return _greedy_cover(_pair_swap_gains(e, x, y), delta)
-    return _pair_remove_cost(e, x, y, delta)
+    votes: Counter[tuple[int, bool, bool]] = Counter()
+    for ballot, count in e.groups.items():
+        votes[len(ballot), x in ballot, y in ballot] += count
+    if kind == "remove":
+        return _pair_remove_cost(votes, delta)
+    # One add or swap per vote is optimal, so each vote offers one gain.
+    # Add y to a vote of size a: y gets 1/(a+1), and x, if approved there,
+    # drops from 1/a to 1/(a+1), for a combined 1/a.  Swaps keep sizes: x out
+    # for y transfers 2/a; x out for anything (y already there) or anything
+    # out for y (x absent) transfers 1/a; a second swap in the same vote
+    # cannot touch x or y again.
+    gains: list[tuple[Fraction, int]] = []
+    for (a, has_x, has_y), count in votes.items():
+        if kind == "add":
+            if not has_y:
+                gains.append((Fraction(1, a) if has_x else Fraction(1, a + 1), count))
+        elif has_x and not has_y:
+            gains.append((Fraction(2, a), count))
+        elif has_x == has_y and 0 < a < e.m:
+            gains.append((Fraction(1, a), count))
+    return _greedy_cover(gains, delta)
 
 
-def _pair_add_gains(e: Election, x: int, y: int) -> list[Fraction]:
-    """Score-gap reduction per vote from adding y there (one add per vote is optimal).
-
-    Adding y to a vote of size a gives y 1/(a+1); if the vote approves x,
-    x additionally drops from 1/a to 1/(a+1), for a combined 1/a.
-    """
-    gains = []
-    for ballot in e.ballots:
-        if y in ballot:
-            continue
-        a = len(ballot)
-        gains.append(Fraction(1, a) if x in ballot else Fraction(1, a + 1))
-    return gains
-
-
-def _pair_swap_gains(e: Election, x: int, y: int) -> list[Fraction]:
-    """Best score-gap reduction a single swap in each vote can contribute.
-
-    Ballot sizes never change under swaps, so per vote of size a: swapping
-    x out for y transfers 2/a; swapping x out for anything (y already there)
-    or anything out for y (x absent) transfers 1/a; a second swap in the
-    same vote cannot touch x or y again, so one swap per vote suffices.
-    """
-    gains = []
-    for ballot in e.ballots:
-        a = len(ballot)
-        if x in ballot and y not in ballot:
-            gains.append(Fraction(2, a))
-        elif x in ballot and y in ballot:
-            if a < e.m:
-                gains.append(Fraction(1, a))
-        elif x not in ballot and y not in ballot:
-            if a >= 1:
-                gains.append(Fraction(1, a))
-    return gains
-
-
-def _greedy_cover(gains: list[Fraction], delta: Fraction) -> int | None:
-    """Fewest summands from ``gains`` reaching ``delta`` (take largest first)."""
-    gains.sort(reverse=True)
-    total = Fraction(0)
-    for count, g in enumerate(gains, start=1):
-        total += g
+def _greedy_cover(gains: list[tuple[Fraction, int]], delta: Fraction) -> int | None:
+    """Fewest summands reaching ``delta``, each ``(gain, count)`` offering its gain up to count times."""
+    ops = 0
+    for gain, count in sorted(gains, key=lambda pair: pair[0], reverse=True):
+        total = count * gain
         if total >= delta:
-            return count
+            return ops - (-delta // gain)  # ceil(delta / gain) more
+        delta -= total
+        ops += count
     return None
 
 
-def _pair_remove_cost(e: Election, x: int, y: int, delta: Fraction) -> int | None:
-    """Fewest removals making y's score reach x's.
+def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -> int | None:
+    """Fewest removals making y's score reach x's, from the votes counted by (size, has x, has y).
 
     Useful removals are: removing x from a vote also approving y (gap
     shrinks by 1/(a-1): x loses 1/a and y's share grows), removing x from a
@@ -236,61 +215,76 @@ def _pair_remove_cost(e: Election, x: int, y: int, delta: Fraction) -> int | Non
     from a vote approving y but not x (y's share grows by 1/(a(a-1)),
     repeatable as the vote shrinks).  Within each category the smallest
     votes are the most profitable, so the search enumerates how many votes
-    of the first two categories to use and covers the rest greedily by
-    "digging into" y-votes smallest-first.
+    of the first two categories to use and covers the rest by "digging
+    into" y-votes smallest-first.
     """
-    both = sorted(len(b) for b in e.ballots if x in b and y in b)
-    x_only = sorted(len(b) for b in e.ballots if x in b and y not in b)
-    y_only = sorted(len(b) for b in e.ballots if y in b and x not in b)
+    both = sorted(a for (a, has_x, has_y), c in votes.items() if has_x and has_y for _ in range(c))
+    x_only = sorted(a for (a, has_x, has_y), c in votes.items() if has_x and not has_y for _ in range(c))
+    # diggable y-vote sizes and their counts; a converted both-vote joins them one smaller
+    chains = Counter({a: c for (a, has_x, has_y), c in votes.items() if has_y and not has_x and a >= 2})
 
-    conv_prefix = [Fraction(0)]
-    for a in both:
-        conv_prefix.append(conv_prefix[-1] + Fraction(1, a - 1))
     xonly_prefix = [Fraction(0)]
     for a in x_only:
         xonly_prefix.append(xonly_prefix[-1] + Fraction(1, a))
 
     best: int | None = None
+    left = delta  # the gap after converting the first b_both both-votes
+    buckets = _dig_buckets(chains)
     for b_both in range(len(both) + 1):
         if best is not None and b_both >= best:
             break
-        # digging candidates: y-votes, plus converted both-votes (now one smaller)
-        chains = [a for a in y_only if a >= 2] + [both[i] - 1 for i in range(b_both) if both[i] - 1 >= 2]
-        dig_cum = _dig_reductions(chains)
-        for b_x in range(len(x_only) + 1):
+        if b_both:
+            a = both[b_both - 1]
+            left -= Fraction(1, a - 1)
+            if a - 1 >= 2:
+                chains[a - 1] += 1
+                buckets = _dig_buckets(chains)
+        reach = left - buckets[-1][3] if buckets else left  # the gap left once every y-vote is dug out
+        for b_x, removed in enumerate(xonly_prefix):
             base_ops = b_both + b_x
             if best is not None and base_ops >= best:
                 break
-            remaining = delta - conv_prefix[b_both] - xonly_prefix[b_x]
-            if remaining <= 0:
+            if removed >= left:
                 best = base_ops
                 break
-            idx = bisect_left(dig_cum, remaining)
-            if idx < len(dig_cum):
-                total = base_ops + idx + 1
-                if best is None or total < best:
-                    best = total
+            if best is not None and base_ops + 1 >= best:
+                break  # this b_x needs a dig and every later one costs as much
+            if removed >= reach:
+                cost = base_ops + _dig_count(buckets, left - removed)
+                best = cost if best is None else min(best, cost)
     return best
 
 
-def _dig_reductions(sizes: list[int]) -> list[Fraction]:
-    """Cumulative gap reductions from repeatedly shrinking the smallest y-vote.
+def _dig_buckets(chains: Counter[int]) -> list[tuple[int, int, Fraction, Fraction]]:
+    """Per y-vote size ``a``, ascending: ``(a, digs before, gain before, gain through)``.
 
-    A y-vote of current size a yields 1/(a(a-1)) per removed co-approval;
-    marginals depend only on the current size, so always digging the
-    smallest available vote is optimal.
+    "Before" is digging out every smaller vote, "through" every vote up to size ``a``.
     """
-    heap = list(sizes)
-    heapq.heapify(heap)
-    cums: list[Fraction] = []
-    total = Fraction(0)
-    while heap:
-        a = heapq.heappop(heap)
-        total += Fraction(1, a * (a - 1))
-        cums.append(total)
-        if a - 1 >= 2:
-            heapq.heappush(heap, a - 1)
-    return cums
+    buckets = []
+    digs, gain = 0, Fraction(0)
+    for a, count in sorted(chains.items()):
+        through = gain + count * (1 - Fraction(1, a))
+        buckets.append((a, digs, gain, through))
+        digs, gain = digs + count * (a - 1), through
+    return buckets
+
+
+def _dig_count(buckets: list[tuple[int, int, Fraction, Fraction]], need: Fraction) -> int:
+    """Fewest digs into y-votes, smallest vote first and each dug out entirely, whose gains reach ``need``.
+
+    ``need`` is positive and at most the gain of digging every y-vote out.
+    A vote's gain per dig grows as it shrinks, so this order takes the largest
+    gains first.  j digs into a vote of size a yield 1/(a(a-1)) + ... +
+    1/((a-j+1)(a-j)) = 1/(a-j) - 1/a, all a-1 of them 1 - 1/a.
+    """
+    for a, digs, before, through in buckets:
+        if need <= through:
+            whole = 1 - Fraction(1, a)
+            need -= before
+            emptied = need // whole  # votes of size a dug out entirely
+            need -= emptied * whole  # 0 <= need < whole: fewest j with 1/(a-j) >= need + 1/a
+            return digs + emptied * (a - 1) + a - 1 // (need + Fraction(1, a))
+    raise ValueError(f"digging every y-vote out does not reach {need}")
 
 
 # ---------------------------------------------------------------------------

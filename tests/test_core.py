@@ -52,16 +52,6 @@ class TestElection:
         assert election(3, []).priority() == (0, 1, 2)
         assert election(3, [], tiebreak=(2, 0, 1)).priority() == (2, 0, 1)
 
-    def test_priority_rank_inverts_priority(self):
-        e = election(4, [], tiebreak=(3, 1, 0, 2))
-        rank = e.priority_rank()
-        assert [rank[c] for c in e.priority()] == [0, 1, 2, 3]
-
-    def test_approvers(self):
-        e = election(3, [[0], [0, 1], []])
-        assert e.approvers(0) == [0, 1]
-        assert e.approvers(2) == []
-
 
 class TestScores:
     def test_approval_scores(self):

@@ -15,7 +15,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from mwrobust import BipartiteGraph, X3CInstance, election, serialize_graph, serialize_x3c
+from mwrobust import DEFAULT_MAX_VOTERS, BipartiteGraph, X3CInstance, election, serialize_graph, serialize_x3c
 from mwrobust.cli import main, serialize_election
 
 #: Tokens that are never a valid number in any field: not ASCII decimal, or negative.
@@ -202,3 +202,11 @@ def test_arbitrary_text_never_raises(text, argv):
     assert code in (0, 2), (text, err)
     if code == 2:
         assert json.loads(err)["exit_code"] == 2
+
+
+def test_candidate_count_above_the_limit_exits_2():
+    # rejected at the header, before any work or memory proportional to m
+    for m in (DEFAULT_MAX_VOTERS + 1, 10**9):
+        text = f"m {m} n 1\n0: 0\n"
+        assert_rejected(text, "winners", "-", "--rule", "av", "--k", "1")
+        assert_rejected(text, "radius", "-", "--rule", "av", "--k", "1", "--op", "add")

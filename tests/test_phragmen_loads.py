@@ -9,20 +9,24 @@ import pytest
 from mwrobust import election, phragmen, phragmen_trace
 
 
+def approvers(e, candidate):
+    return [v for v, ballot in enumerate(e.ballots) if candidate in ballot]
+
+
 def reference_trace(e, k):
     """The money-earning definition, voter by voter: a clock, every voter's balance, and per-candidate waits."""
     balance = [Fraction(0)] * e.n
-    rank = e.priority_rank()
+    rank = {c: pos for pos, c in enumerate(e.priority())}
     chosen: list[int] = []
     clock = Fraction(0)
     purchases = []
     while len(chosen) < k:
         best_c = best_wait = None
         for c in range(e.m):
-            approvers = e.approvers(c)
-            if c in chosen or not approvers:
+            voters = approvers(e, c)
+            if c in chosen or not voters:
                 continue
-            wait = (1 - sum(balance[v] for v in approvers)) / len(approvers)
+            wait = (1 - sum(balance[v] for v in voters)) / len(voters)
             if best_wait is None or wait < best_wait or (wait == best_wait and rank[c] < rank[best_c]):
                 best_c, best_wait = c, wait
         if best_c is None:  # only approval-less candidates remain
@@ -30,7 +34,7 @@ def reference_trace(e, k):
             break
         balance = [b + best_wait for b in balance]
         clock += best_wait
-        for v in e.approvers(best_c):
+        for v in approvers(e, best_c):
             balance[v] = Fraction(0)
         chosen.append(best_c)
         purchases.append((best_c, clock))

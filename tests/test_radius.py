@@ -111,6 +111,24 @@ class TestSavRadius:
             brute = oracle_radius(e, k, rule, kind, max_budget=max(budget, 1))
             assert exact == brute, (e, k, kind)
 
+    def test_matches_oracle_on_repeated_ballots(self):
+        # many voters share few ballot types, so each pair's votes fall into few (size, x, y) buckets
+        rng = random.Random(8110)
+        certified = 0
+        for _ in range(300):
+            m = rng.randint(3, 4)
+            types = [[c for c in range(m) if rng.random() < 0.5] for _ in range(rng.randint(2, 3))]
+            e = election(m, [rng.choice(types) for _ in range(rng.randint(6, 12))])
+            k = rng.randint(1, m - 1)
+            kind = rng.choice(("add", "remove", "swap"))
+            exact = sav_radius(e, k, kind)
+            if isinstance(exact, Finite) and exact.value <= 3:
+                assert oracle_radius(e, k, preset_rule("sav", k), kind, max_budget=exact.value) == exact, (e, k, kind)
+                certified += 1
+            else:  # nothing changes within 3 operations
+                assert oracle_radius(e, k, preset_rule("sav", k), kind, max_budget=3) in (ExceedsBound(3), Impossible())
+        assert certified >= 180
+
 
 class TestOracle:
     def test_budget_zero(self):
