@@ -7,8 +7,12 @@ applying an operation returns a new election.
 """
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 
 from .core import Election
 from .rules import DEFAULT_CAP, RuleSpec, winner_set
@@ -85,26 +89,81 @@ def apply_sequence(e: Election, ops: Iterable[Operation]) -> Election:
     return e
 
 
-def feasible_operations(e: Election, kind: str) -> list[Operation]:
-    """All feasible operations of one kind, in (voter, candidate) order."""
-    return _operations(e, kind, range(e.n))
+def feasible_operations(e: Election, kind: str) -> Sequence[Operation]:
+    """All feasible operations of one kind, in (voter, candidate) order.
+
+    The result is a read-only sequence built on demand from one move table per
+    ballot type and per-voter cumulative counts, in O(groups·m + n) memory: an
+    operation object exists only once it is indexed or iterated.
+    ``random.sample(feasible_operations(e, kind), B)`` draws a uniform bundle of
+    ``B`` distinct operations, the random-perturbation model; the exact chance
+    that such a bundle leaves the winners unchanged is ``count_unchanged``.
+    """
+    return _Operations(e, kind)
 
 
-def _operations(e: Election, kind: str, voters: Iterable[int]) -> list[Operation]:
-    """The feasible operations of one kind on ``voters``, in (voter, candidate) order."""
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
-    ops: list[Operation] = []
-    for v in voters:
-        ballot = e.ballots[v]
-        if kind == "add":
-            ops.extend(Add(v, c) for c in range(e.m) if c not in ballot)
-        elif kind == "remove":
-            ops.extend(Remove(v, c) for c in sorted(ballot))
-        else:
-            outside = [c for c in range(e.m) if c not in ballot]
-            ops.extend(Swap(v, s, t) for s in sorted(ballot) for t in outside)
-    return ops
+class _Operations(Sequence):
+    """The feasible operations of one kind on an election, read from its move tables.
+
+    ``_moves[ballot]`` holds the candidate columns of the operations of a voter
+    casting ``ballot``, in candidate order; ``_ends[v]`` counts the operations of
+    voters ``0..v``.  Indexing bisects ``_ends`` for the voter.
+    """
+
+    def __init__(self, e: Election, kind: str) -> None:
+        if kind not in OP_KINDS:
+            raise ValueError(f"unknown operation kind {kind!r}")
+        self._make = {"add": Add, "remove": Remove, "swap": Swap}[kind]
+        self._ballots = e.ballots
+        self._moves = {ballot: _moves(kind, ballot, e.m) for ballot in e.groups}
+
+    @cached_property
+    def _ends(self) -> list[int]:
+        # built on first use: a search that only iterates never reads it
+        sizes = {ballot: len(columns[0]) for ballot, columns in self._moves.items()}
+        return list(accumulate(map(sizes.__getitem__, self._ballots)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("operation index out of range")
+        v = bisect_right(self._ends, i)
+        offset = i - (self._ends[v - 1] if v else 0)
+        return self._make(v, *(column[offset] for column in self._moves[self._ballots[v]]))
+
+    def __iter__(self) -> Iterator[Operation]:
+        return chain.from_iterable(map(self._of_voter, range(len(self._ballots))))
+
+    def _of_voter(self, v: int) -> Iterator[Operation]:
+        """The operations of voter ``v``, in candidate order."""
+        return map(self._make, repeat(v), *self._moves[self._ballots[v]])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _moves(kind: str, ballot: frozenset[int], m: int) -> tuple[list[int], ...]:
+    """The candidate columns of ``kind``'s operations on one ballot, in candidate order."""
+    if kind == "remove":
+        return (sorted(ballot),)
+    outside = [c for c in range(m) if c not in ballot]
+    if kind == "add":
+        return (outside,)
+    inside = sorted(ballot)
+    return [s for s in inside for _ in outside], outside * len(inside)
 
 
 def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = DEFAULT_CAP) -> int:
@@ -136,8 +195,11 @@ def level_argmax(
     The operation is the first maximiser in (voter, candidate) order; voters with
     equal ballots cause equal displacements, so only the first of them is tried.
     """
+    ops = _Operations(e, kind)
+    # walking the voters backwards, each ballot's last write is its first voter
+    first = dict(zip(reversed(e.ballots), reversed(range(e.n))))
     level, argmax, before = 0, None, None
-    for op in _operations(e, kind, sorted(map(e.ballots.index, e.groups))):
+    for op in chain.from_iterable(map(ops._of_voter, sorted(first.values()))):
         if before is None:
             before = winner_set(e, k, rule, cap).committees(cap)
         d = _drift(before, apply(e, op), k, rule, cap)

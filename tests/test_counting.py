@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -15,8 +16,10 @@ from mwrobust import (
     av_count_unchanged,
     count_unchanged,
     election,
+    no_cover_rx3c_n2,
     oracle_count_unchanged,
     preset_rule,
+    rx3c_to_greedy,
 )
 
 from common import all_elections, random_election
@@ -173,3 +176,18 @@ class TestOracleCap:
         assert oracle_count_unchanged(e, 1, rule, "add", 2, cap=6) == CountOutcome(4, 6)
         with pytest.raises(CapExceeded, match=r"C\(4,2\) bundles exceeds cap 5"):
             oracle_count_unchanged(e, 1, rule, "add", 2, cap=5)
+
+    def test_cap_checked_before_any_cell_exists(self):
+        # the greedy-PAV gadget has 59,296 addable cells: C(59296, 2) ~ 1.8e9 bundles exceed the
+        # default cap, and the refusal reads only the cell count, not one object per cell
+        gadget = rx3c_to_greedy(no_cover_rx3c_n2(), "pav")
+        e, rule = gadget.election, preset_rule("greedy-pav", gadget.k)
+        e.ballots
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"^enumerating C\(59296,2\) bundles exceeds cap 1000000$"):
+                oracle_count_unchanged(e, gadget.k, rule, "add", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
