@@ -157,18 +157,12 @@ def _int_json(value: int):
 
 
 def _jsonable(value):
-    if isinstance(value, bool):
-        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, int):
         return _int_json(value)
     if isinstance(value, ThieleVector):
         return [str(w) for w in value.weights]
-    if isinstance(value, Election):
-        return serialize_election(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

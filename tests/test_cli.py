@@ -13,6 +13,7 @@ from mwrobust import (
     serialize_x3c,
     triple_cover_rx3c,
     BipartiteGraph,
+    ThieleVector,
 )
 from mwrobust.cli import (
     INLINE_VOTER_LIMIT,
@@ -141,8 +142,9 @@ class TestJsonHelpers:
     def test_fractions_and_nesting(self):
         from fractions import Fraction
 
-        out = _jsonable({"p": Fraction(1, 3), "flags": (True, 2**54), "set": frozenset({2, 1})})
-        assert out == {"p": "1/3", "flags": [True, str(2**54)], "set": [1, 2]}
+        out = _jsonable({"p": Fraction(1, 3), "flags": (True, 2**54), "omega": ThieleVector.pav(2)})
+        assert out == {"p": "1/3", "flags": [True, str(2**54)], "omega": ["1", "1/2"]}
+        assert out["flags"][0] is True
 
 
 class TestWinners:

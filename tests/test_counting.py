@@ -12,7 +12,6 @@ import mwrobust.counting
 from mwrobust import (
     CapExceeded,
     CountOutcome,
-    av_count_state,
     av_count_unchanged,
     count_unchanged,
     election,
@@ -91,13 +90,6 @@ class TestValidation:
 
 
 class TestStateInternals:
-    def test_difference_tables_are_consistent(self):
-        e = election(3, [[0, 1], [0], [2]])
-        state = av_count_state(e, 1, "add", 2)
-        for (level, used), ways in state.g.items():
-            upper = state.f.get((level + 1, used), 0)
-            assert ways == state.f[(level, used)] - upper
-
     def test_probability(self):
         e = election(3, [[0], [0]])
         rule = preset_rule("av", 1)
@@ -191,3 +183,23 @@ class TestOracleCap:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_empty_budget_reads_no_cell(self):
+        # one bundle, the empty one: the enumeration must not copy the 59,296 cells to yield it
+        gadget = rx3c_to_greedy(no_cover_rx3c_n2(), "pav")
+        e, rule = gadget.election, preset_rule("greedy-pav", gadget.k)
+        e.ballots
+        tracemalloc.start()
+        try:
+            out = oracle_count_unchanged(e, gadget.k, rule, "add", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == CountOutcome(1, 1)
+        assert peak < 1_000_000
+
+    def test_empty_budget_still_bounds_the_base_winner_set(self):
+        # C(12, 6) = 924 committees exceed a cap of 100 for an exact Thiele rule, bundles or not
+        e = election(12, [[c] for c in range(12)])
+        with pytest.raises(CapExceeded):
+            oracle_count_unchanged(e, 6, preset_rule("pav", 6), "add", 0, cap=100)
