@@ -5,18 +5,20 @@ A bundle is an unordered set of exactly ``B`` distinct approval cells to add
 cells, so ``C(slots, B)`` bundles exist in total.  ``av_count_unchanged``
 counts, via dynamic programming over per-candidate score changes, how many
 bundles leave the family of AV-winning committees exactly as it was;
-``oracle_count_unchanged`` does the same by brute-force enumeration, for any
-rule; ``count_unchanged`` chooses between them.
+``oracle_count_unchanged`` does the same by enumeration, for any rule, with one
+winner set per orbit of bundles under permutations of equal-ballot voters;
+``count_unchanged`` chooses between them.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, islice
 
 from .core import CapExceeded, Election, approval_scores
-from .perturb import apply_sequence, feasible_operations
+from .perturb import Add, Operation, Remove, _moves, apply_sequence, feasible_operations
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal
 
 COUNT_KINDS = ("add", "remove")
@@ -51,7 +53,8 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
     if not 1 <= k <= e.m:
         raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m={e.m}")
-    n, adds = e.n, kind == "add"
+    # read from the groups: ``e.n`` would build an unread ``apply`` child's voter tuple
+    n, adds = sum(e.groups.values()), kind == "add"
     scores = approval_scores(e)
     slots = n * e.m - sum(scores) if adds else sum(scores)
     if not 0 <= budget <= slots:
@@ -120,13 +123,32 @@ def _bounded_ways(
 
 
 # ---------------------------------------------------------------------------
-# Brute force
+# Enumeration
 
 
 def oracle_count_unchanged(
     e: Election, k: int, rule: RuleSpec, kind: str, budget: int, cap: int = DEFAULT_CAP
 ) -> CountOutcome:
-    """Count unchanged bundles by enumerating every B-subset of cells, if there are at most ``cap``."""
+    """Count unchanged bundles by enumeration, if there are at most ``cap`` B-subsets of cells.
+
+    Every rule here is anonymous: its winners depend on the multiset of
+    ballots (and the tie-break), not on which voter casts which.  So bundles
+    that differ only by a permutation of voters with equal ballots leave the
+    same winners, and one winner set per orbit of that permutation group
+    answers for the whole orbit.  A bundle gives each voter of ballot type g
+    a subset of g's moves (the cells of one voter, as in
+    ``feasible_operations``); its orbit is, per type, the multiset of
+    nonempty subsets {S_i with multiplicity a_i}, t = sum a_i <= n_g of
+    them.  The type's n_g voters take such a multiset in
+    ``n_g! / ((n_g - t)! * prod a_i!)`` ways, and an orbit's weight is the
+    product over the types.  The weights sum to ``C(cells, B)``, which is
+    checked once the enumeration ends.
+
+    See ``_orbits`` for the enumeration: every partial choice it makes
+    completes to at least one orbit, so it does O(min(B, n)) steps per orbit,
+    and orbits <= bundles <= ``cap``.  The bundle count is still what ``cap``
+    bounds; it is checked before any cell or winner set exists.
+    """
     if kind not in COUNT_KINDS:
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
     cells = feasible_operations(e, kind)
@@ -136,13 +158,101 @@ def oracle_count_unchanged(
     if total > cap:
         raise CapExceeded(f"enumerating C({len(cells)},{budget}) bundles exceeds cap {cap}")
     base = winner_set(e, k, rule, cap)
-    unchanged = 0
-    # combinations(cells, 0) would copy every cell into its pool to yield the one empty bundle
-    for combo in itertools.combinations(cells, budget) if budget else [()]:
+    unchanged = covered = 0
+    for ops, weight in _orbits(e, kind, budget):
         # distinct cells of one kind never block each other, so every prefix is feasible
-        if winner_sets_equal(base, winner_set(apply_sequence(e, combo), k, rule, cap), cap):
-            unchanged += 1
+        if winner_sets_equal(base, winner_set(apply_sequence(e, ops), k, rule, cap), cap):
+            unchanged += weight
+        covered += weight
+    if covered != total:
+        raise RuntimeError(f"orbit weights sum to {covered}, not C({len(cells)},{budget}) = {total}")
     return CountOutcome(unchanged, total)
+
+
+def _orbits(e: Election, kind: str, budget: int) -> Iterator[tuple[list[Operation], int]]:
+    """One representative bundle of ``budget`` cells per voter-symmetry orbit, with the orbit's size.
+
+    Types come in order of their first voter; within a type the chosen
+    subsets come in non-increasing (size, rank among ``combinations`` of that
+    size) order, and the i-th goes to the type's i-th voter.  A choice is
+    made only if the rest can still reach ``budget``: after a subset of size
+    s, the type's remaining voters can add any cost in [0, free * s] and the
+    later types any cost in [0, their cells], so the test is one comparison
+    per size.  Each partial choice therefore extends to an orbit; the search
+    keeps its path on an explicit stack (one frame per chosen subset, at most
+    min(B, n)), never recurses over the types and holds no list of orbits.
+    """
+    if not budget:
+        # the empty bundle: no cell, and no walk over the voters
+        yield [], 1
+        return
+    make = Add if kind == "add" else Remove
+    holders: dict[frozenset[int], list[int]] = {}  # each ballot's first voters, in voter order
+    for v, ballot in enumerate(e.ballots):
+        voters = holders.setdefault(ballot, [])
+        if len(voters) < budget:  # a bundle reaches at most ``budget`` voters of a type
+            voters.append(v)
+    types = [  # (voters of the type, its moves, its first voters); a type without moves takes no cell
+        (e.groups[ballot], moves, voters)
+        for ballot, voters in holders.items()
+        if (moves := _moves(kind, ballot, e.m)[0])
+    ]
+    after = [0] * len(types)  # after[h]: the cells of types h+1, h+2, ...
+    for h in range(len(types) - 2, -1, -1):
+        count, moves, _ = types[h + 1]
+        after[h] = after[h + 1] + count * len(moves)
+    root = (-1, 0, 0, 0, budget)  # (type, size, rank, voters of the type served, cost left)
+    stack = [(_choices(types, after, *root), root, 0, 1)]  # and the run of equal subsets, the weight
+    path: list[list[Operation]] = []
+    while stack:
+        choices, (g, size, rank, served, left), run, weight = stack[-1]
+        choice = next(choices, None)
+        if choice is None:
+            stack.pop()
+            del path[-1:]
+            continue
+        h, s, r, subset = choice
+        if h != g:
+            served = 0
+        run = run + 1 if (h, s, r) == (g, size, rank) else 1
+        count, _, voters = types[h]
+        weight = weight * (count - served) // run
+        ops = [make(voters[served], c) for c in subset]
+        if left == s:
+            yield [*chain.from_iterable(path), *ops], weight
+            continue
+        path.append(ops)
+        node = (h, s, r, served + 1, left - s)
+        stack.append((_choices(types, after, *node), node, run, weight))
+
+
+def _choices(
+    types: list[tuple[int, list[int], list[int]]],
+    after: list[int],
+    g: int,
+    size: int,
+    rank: int,
+    served: int,
+    left: int,
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """The subsets ``(type, size, rank, subset)`` that may follow type ``g``'s ``(size, rank)``.
+
+    Each still completes to ``left`` more cells, so each extends to an orbit.
+    """
+    for h in range(max(g, 0), len(types)):
+        count, moves, _ = types[h]
+        free, top = (count - served, size) if h == g else (count, len(moves))
+        if free * top + after[h] < left:
+            break  # neither this type nor any later one can still take ``left`` cells
+        if not free:
+            continue
+        # the smallest size s with left - s <= (free - 1) * s + after[h]
+        for s in range(min(top, left), max(1, -(-(left - after[h]) // free)) - 1, -1):
+            subsets = combinations(moves, s)
+            if h == g and s == size:
+                subsets = islice(subsets, rank + 1)
+            for r, subset in enumerate(subsets):
+                yield h, s, r, subset
 
 
 def count_unchanged(

@@ -21,6 +21,7 @@ from mwrobust import (
     apply,
     apply_sequence,
     approval_score,
+    av_count_unchanged,
     committee_score,
     displacement,
     election,
@@ -211,6 +212,16 @@ class TestUnreadChildren:
             assert is_feasible(self.unread(e, op), op) == is_feasible(rebuilt, op)
             assert render_diff_matrix(e, self.unread(e, op)) == render_diff_matrix(e, rebuilt)
             assert render_diff_matrix(self.unread(e, op), e) == render_diff_matrix(rebuilt, e)
+
+    def test_av_counting_reads_only_the_groups(self):
+        for e, op, rebuilt, rng in self.cases(3091):
+            k = rng.randint(1, e.m)
+            approvals = sum(map(len, rebuilt.ballots))
+            for kind, slots in (("add", rebuilt.n * e.m - approvals), ("remove", approvals)):
+                budget = rng.randint(0, min(slots, 3))
+                child = self.unread(e, op)
+                assert av_count_unchanged(child, k, kind, budget) == av_count_unchanged(rebuilt, k, kind, budget)
+                assert "ballots" not in vars(child)
 
     def test_apply_does_not_copy_the_voter_tuple(self):
         halves = (frozenset({0}), frozenset({1, 2}))
