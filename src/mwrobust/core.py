@@ -14,13 +14,38 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Committee = tuple[int, ...]  # sorted, distinct candidate indices
 
 
 class CapExceeded(Exception):
     """Raised when an operation would enumerate more committees, bundles or searched elections than allowed."""
+
+
+class _Profile(NamedTuple):
+    """An election's ballot counts, all that a rule kernel reads: every rule here is anonymous."""
+
+    m: int
+    groups: dict[frozenset[int], int]
+    tiebreak: tuple[int, ...] | None
+
+    def priority(self) -> tuple[int, ...]:
+        """Candidates in tie-breaking order (most preferred first)."""
+        if self.tiebreak is not None:
+            return self.tiebreak
+        return tuple(range(self.m))
+
+
+def _regrouped(groups: dict[frozenset[int], int], moves: Iterable[tuple[frozenset[int], frozenset[int]]]) -> dict:
+    """A copy of ``groups`` with one voter moved from ``old`` to ``new`` for each ``(old, new)`` in ``moves``."""
+    groups = dict(groups)
+    for old, new in moves:
+        groups[old] -= 1
+        if not groups[old]:
+            del groups[old]
+        groups[new] = groups.get(new, 0) + 1
+    return groups
 
 
 @dataclass(frozen=True)
@@ -50,26 +75,17 @@ class Election:
         object.__setattr__(self, "groups", groups)
 
     def _with_ballot(self, voter: int, ballot: frozenset[int]) -> Election:
-        """This election with ``voter`` casting the valid ``ballot``, unchecked, in O(groups).
-
-        The child keeps this voter tuple and the edit, and builds its own ``ballots`` when first read.
-        """
-        parent = self.ballots
-        groups = dict(self.groups)
-        old = parent[voter]
-        groups[old] -= 1
-        if not groups[old]:
-            del groups[old]
-        groups[ballot] = groups.get(ballot, 0) + 1
+        """This election with ``voter`` casting the valid ``ballot``, unchecked: one copy of the voter tuple."""
+        # one list copy, not two slices and two concatenations: every copied reference
+        # is an increment, and these serialize when many voters share one ballot object
+        ballots = list(self.ballots)
+        old, ballots[voter] = ballots[voter], ballot
+        groups = _regrouped(self.groups, [(old, ballot)])
         child = object.__new__(Election)
-        child.__dict__.update(
-            num_candidates=self.num_candidates, tiebreak=self.tiebreak, groups=groups, _edit=(parent, voter, ballot)
+        vars(child).update(
+            num_candidates=self.num_candidates, ballots=tuple(ballots), tiebreak=self.tiebreak, groups=groups
         )
         return child
-
-    def __getstate__(self) -> dict:
-        self.ballots  # pickle and copy carry the built tuple, not the edit record
-        return self.__dict__
 
     @property
     def m(self) -> int:
@@ -79,34 +95,7 @@ class Election:
     def n(self) -> int:
         return len(self.ballots)
 
-    def priority(self) -> tuple[int, ...]:
-        """Candidates in tie-breaking order (most preferred first)."""
-        if self.tiebreak is not None:
-            return self.tiebreak
-        return tuple(range(self.num_candidates))
-
-
-class _EditedBallots:
-    """``Election.ballots`` of an ``apply`` child: built from its edit record on first read, then stored."""
-
-    def __get__(self, e: Election | None, owner: type | None = None):
-        if e is None:
-            return self
-        edit = e.__dict__.get("_edit")
-        if edit is None:  # another thread read them first: the tuple is stored before the record goes
-            return e.__dict__["ballots"]
-        parent, voter, ballot = edit
-        # one list copy, not two slices and two concatenations: every copied reference
-        # is an increment, and these serialize when many voters share one ballot object
-        ballots = list(parent)
-        ballots[voter] = ballot
-        e.__dict__["ballots"] = ballots = tuple(ballots)
-        e.__dict__.pop("_edit", None)
-        return ballots
-
-
-# a non-data descriptor, not ``__getattr__``, which would slow every attribute load on every election
-Election.ballots = _EditedBallots()
+    priority = _Profile.priority
 
 
 def election(m: int, ballots: Iterable[Iterable[int]], tiebreak: Sequence[int] | None = None) -> Election:

@@ -6,8 +6,9 @@ cells, so ``C(slots, B)`` bundles exist in total.  ``av_count_unchanged``
 counts, via dynamic programming over per-candidate score changes, how many
 bundles leave the family of AV-winning committees exactly as it was;
 ``oracle_count_unchanged`` does the same by enumeration, for any rule, with one
-winner set per orbit of bundles under permutations of equal-ballot voters;
-``count_unchanged`` chooses between them.
+winner set per orbit of bundles under permutations of equal-ballot voters,
+each scored from the ballot counts the orbit leaves; ``count_unchanged``
+chooses between them.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
-from .core import CapExceeded, Election, approval_scores
-from .perturb import Add, Operation, Remove, _moves, apply_sequence, feasible_operations
+from .core import CapExceeded, Election, _Profile, _regrouped, approval_scores
+from .perturb import _moves
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal
 
 COUNT_KINDS = ("add", "remove")
@@ -41,7 +42,12 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
     z[k]``) conditions on the minimum final winner score ``l``: bundles with
     every winner ending >= l and every loser <= l-1, minus those with every
     winner ending >= l+1, keep the top k strictly on top with minimum exactly
-    l.  In the tied case the winner family is unchanged iff the tied block
+    l.  A score moves by at most B, so only levels within B of ``z[k-1]``
+    are summed.  Adding, a level above ``z[k-1] + B`` leaves both counts 0.
+    Removing, every winner ends >= ``z[k-1] - B``, so at a level below that
+    ">= l" and ">= l+1" count the same bundles and cancel.
+
+    In the tied case the winner family is unchanged iff the tied block
     ends uniformly at some value ``q`` with every forced candidate strictly
     above and every loser strictly below.  Moving the whole block to ``q``
     costs ``|block| * |q - z[k-1]|`` cells with independent per-candidate
@@ -53,8 +59,7 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
     if not 1 <= k <= e.m:
         raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m={e.m}")
-    # read from the groups: ``e.n`` would build an unread ``apply`` child's voter tuple
-    n, adds = sum(e.groups.values()), kind == "add"
+    n, adds = e.n, kind == "add"
     scores = approval_scores(e)
     slots = n * e.m - sum(scores) if adds else sum(scores)
     if not 0 <= budget <= slots:
@@ -67,7 +72,8 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
     unchanged = 0
     if z[k - 1] > z[k]:
         winners, losers = z[:k], z[k:]
-        for level in range(z[k - 1], n + 1) if adds else range(1, z[k - 1] + 1):
+        low = z[k - 1]
+        for level in range(low, min(n, low + budget) + 1) if adds else range(max(1, low - budget), low + 1):
             unchanged += _bounded_ways(adds, n, winners, losers, level, level - 1, budget)
             unchanged -= _bounded_ways(adds, n, winners, losers, level + 1, level - 1, budget)
         return CountOutcome(unchanged, total)
@@ -142,68 +148,63 @@ def oracle_count_unchanged(
     them.  The type's n_g voters take such a multiset in
     ``n_g! / ((n_g - t)! * prod a_i!)`` ways, and an orbit's weight is the
     product over the types.  The weights sum to ``C(cells, B)``, which is
-    checked once the enumeration ends.
+    checked once the enumeration ends.  Each orbit is scored from the ballot
+    counts it leaves, in O(groups), with no voter tuple.
 
     See ``_orbits`` for the enumeration: every partial choice it makes
     completes to at least one orbit, so it does O(min(B, n)) steps per orbit,
     and orbits <= bundles <= ``cap``.  The bundle count is still what ``cap``
-    bounds; it is checked before any cell or winner set exists.
+    bounds; it is checked before any winner set exists.
     """
     if kind not in COUNT_KINDS:
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
-    cells = feasible_operations(e, kind)
-    if not 0 <= budget <= len(cells):
-        raise ValueError(f"budget {budget} not in [0, {len(cells)}]")
-    total = math.comb(len(cells), budget)
+    # (ballot, its voter count, its moves) per ballot type; a type without moves takes no cell
+    types = [(ballot, count, moves) for ballot, count in e.groups.items() if (moves := _moves(kind, ballot, e.m)[0])]
+    cells = sum(count * len(moves) for _, count, moves in types)
+    if not 0 <= budget <= cells:
+        raise ValueError(f"budget {budget} not in [0, {cells}]")
+    total = math.comb(cells, budget)
     if total > cap:
-        raise CapExceeded(f"enumerating C({len(cells)},{budget}) bundles exceeds cap {cap}")
+        raise CapExceeded(f"enumerating C({cells},{budget}) bundles exceeds cap {cap}")
     base = winner_set(e, k, rule, cap)
+    edit = frozenset.union if kind == "add" else frozenset.difference
     unchanged = covered = 0
-    for ops, weight in _orbits(e, kind, budget):
-        # distinct cells of one kind never block each other, so every prefix is feasible
-        if winner_sets_equal(base, winner_set(apply_sequence(e, ops), k, rule, cap), cap):
+    for changes, weight in _orbits(types, budget):
+        moves = [(ballot, edit(ballot, subset)) for ballot, subset in changes]
+        after = _Profile(e.m, _regrouped(e.groups, moves), e.tiebreak)
+        if winner_sets_equal(base, winner_set(after, k, rule, cap), cap):
             unchanged += weight
         covered += weight
     if covered != total:
-        raise RuntimeError(f"orbit weights sum to {covered}, not C({len(cells)},{budget}) = {total}")
+        raise RuntimeError(f"orbit weights sum to {covered}, not C({cells},{budget}) = {total}")
     return CountOutcome(unchanged, total)
 
 
-def _orbits(e: Election, kind: str, budget: int) -> Iterator[tuple[list[Operation], int]]:
-    """One representative bundle of ``budget`` cells per voter-symmetry orbit, with the orbit's size.
+def _orbits(types: list[tuple[frozenset[int], int, list[int]]], budget: int) -> Iterator[tuple[list, int]]:
+    """One representative of each voter-symmetry orbit of ``budget``-cell bundles, with the orbit's size.
 
-    Types come in order of their first voter; within a type the chosen
-    subsets come in non-increasing (size, rank among ``combinations`` of that
-    size) order, and the i-th goes to the type's i-th voter.  A choice is
-    made only if the rest can still reach ``budget``: after a subset of size
-    s, the type's remaining voters can add any cost in [0, free * s] and the
-    later types any cost in [0, their cells], so the test is one comparison
-    per size.  Each partial choice therefore extends to an orbit; the search
-    keeps its path on an explicit stack (one frame per chosen subset, at most
+    ``types`` lists ``(ballot, voter count, moves)`` per type with moves.  A
+    representative is a list of ``(ballot, subset)`` changes, one per changed
+    voter: that voter's ``ballot`` gains (or loses) the cells ``subset``.
+    Within a type the chosen subsets come in non-increasing (size, rank among
+    ``combinations`` of that size) order.  A choice is made only if the rest
+    can still reach ``budget``: after a subset of size s, the type's
+    remaining voters can add any cost in [0, free * s] and the later types
+    any cost in [0, their cells], so the test is one comparison per size.
+    Each partial choice therefore extends to an orbit; the search keeps its
+    path on an explicit stack (one frame per chosen subset, at most
     min(B, n)), never recurses over the types and holds no list of orbits.
     """
     if not budget:
-        # the empty bundle: no cell, and no walk over the voters
-        yield [], 1
+        yield [], 1  # the empty bundle
         return
-    make = Add if kind == "add" else Remove
-    holders: dict[frozenset[int], list[int]] = {}  # each ballot's first voters, in voter order
-    for v, ballot in enumerate(e.ballots):
-        voters = holders.setdefault(ballot, [])
-        if len(voters) < budget:  # a bundle reaches at most ``budget`` voters of a type
-            voters.append(v)
-    types = [  # (voters of the type, its moves, its first voters); a type without moves takes no cell
-        (e.groups[ballot], moves, voters)
-        for ballot, voters in holders.items()
-        if (moves := _moves(kind, ballot, e.m)[0])
-    ]
     after = [0] * len(types)  # after[h]: the cells of types h+1, h+2, ...
     for h in range(len(types) - 2, -1, -1):
-        count, moves, _ = types[h + 1]
+        _, count, moves = types[h + 1]
         after[h] = after[h + 1] + count * len(moves)
     root = (-1, 0, 0, 0, budget)  # (type, size, rank, voters of the type served, cost left)
     stack = [(_choices(types, after, *root), root, 0, 1)]  # and the run of equal subsets, the weight
-    path: list[list[Operation]] = []
+    path: list[tuple[frozenset[int], tuple[int, ...]]] = []
     while stack:
         choices, (g, size, rank, served, left), run, weight = stack[-1]
         choice = next(choices, None)
@@ -215,19 +216,18 @@ def _orbits(e: Election, kind: str, budget: int) -> Iterator[tuple[list[Operatio
         if h != g:
             served = 0
         run = run + 1 if (h, s, r) == (g, size, rank) else 1
-        count, _, voters = types[h]
+        ballot, count, _ = types[h]
         weight = weight * (count - served) // run
-        ops = [make(voters[served], c) for c in subset]
         if left == s:
-            yield [*chain.from_iterable(path), *ops], weight
+            yield [*path, (ballot, subset)], weight
             continue
-        path.append(ops)
+        path.append((ballot, subset))
         node = (h, s, r, served + 1, left - s)
         stack.append((_choices(types, after, *node), node, run, weight))
 
 
 def _choices(
-    types: list[tuple[int, list[int], list[int]]],
+    types: list[tuple[frozenset[int], int, list[int]]],
     after: list[int],
     g: int,
     size: int,
@@ -240,7 +240,7 @@ def _choices(
     Each still completes to ``left`` more cells, so each extends to an orbit.
     """
     for h in range(max(g, 0), len(types)):
-        count, moves, _ = types[h]
+        _, count, moves = types[h]
         free, top = (count - served, size) if h == g else (count, len(moves))
         if free * top + after[h] < left:
             break  # neither this type nor any later one can still take ``left`` cells

@@ -3,7 +3,8 @@
 Three operation kinds on a vote: adding an approval, removing one, and
 swapping one (removing ``source`` and adding ``target`` in the same vote).
 Each operation addresses a voter by index; elections are immutable, so
-applying an operation returns a new election.
+applying an operation returns a new election.  Displacement and the level
+score the perturbed ballot counts instead, in O(groups), building no election.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 
-from .core import Election
+from .core import Election, _Profile, _regrouped
 from .rules import DEFAULT_CAP, RuleSpec, winner_set
 
 OP_KINDS = ("add", "remove", "swap")
@@ -69,17 +70,25 @@ def is_feasible(e: Election, op: Operation) -> bool:
 
 def apply(e: Election, op: Operation) -> Election:
     """The election after ``op``; raises on an infeasible operation."""
+    # the parent is valid and ``op`` is feasible, so no ballot needs re-checking
+    return e._with_ballot(op.voter, _change(e, op)[1])
+
+
+def _change(e: Election, op: Operation) -> tuple[frozenset[int], frozenset[int]]:
+    """The ballot of ``op``'s voter before and after ``op``; raises on an infeasible operation."""
     if not is_feasible(e, op):
         raise ValueError(f"operation {op} is not feasible")
     ballot = e.ballots[op.voter]
     if isinstance(op, Add):
-        new = ballot | {op.candidate}
-    elif isinstance(op, Remove):
-        new = ballot - {op.candidate}
-    else:
-        new = (ballot - {op.source}) | {op.target}
-    # the parent is valid and ``op`` is feasible, so no ballot needs re-checking
-    return e._with_ballot(op.voter, new)
+        return ballot, ballot | {op.candidate}
+    if isinstance(op, Remove):
+        return ballot, ballot - {op.candidate}
+    return ballot, (ballot - {op.source}) | {op.target}
+
+
+def _perturbed(e: Election, op: Operation) -> _Profile:
+    """The ballot counts after ``op``, in O(groups), for scoring; raises on an infeasible operation."""
+    return _Profile(e.num_candidates, _regrouped(e.groups, [_change(e, op)]), e.tiebreak)
 
 
 def apply_sequence(e: Election, ops: Iterable[Operation]) -> Election:
@@ -176,10 +185,10 @@ def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = 
     ``cap``).
     """
     before = winner_set(e, k, rule, cap).committees(cap)
-    return _drift(before, apply(e, op), k, rule, cap)
+    return _drift(before, _perturbed(e, op), k, rule, cap)
 
 
-def _drift(before: Sequence[Sequence[int]], after: Election, k: int, rule: RuleSpec, cap: int) -> int:
+def _drift(before: Sequence[Sequence[int]], after: _Profile, k: int, rule: RuleSpec, cap: int) -> int:
     """``displacement`` from the committees ``before`` to the winners of ``after``."""
     after_sets = [frozenset(w) for w in winner_set(after, k, rule, cap).committees(cap)]
     return max(min(k - len(frozenset(w) & w2) for w2 in after_sets) for w in before)
@@ -202,7 +211,7 @@ def level_argmax(
     for op in chain.from_iterable(map(ops._of_voter, sorted(first.values()))):
         if before is None:
             before = winner_set(e, k, rule, cap).committees(cap)
-        d = _drift(before, apply(e, op), k, rule, cap)
+        d = _drift(before, _perturbed(e, op), k, rule, cap)
         if d > level or argmax is None:
             level, argmax = d, op
     return level, argmax

@@ -169,3 +169,22 @@ def test_forced_tie_at_the_top_of_the_range():
                     slots = n * len(z) - sum(z) if kind == "add" else sum(z)
                     for budget in sorted({0, min(slots, 3), slots}):
                         check(e, k, kind, budget)
+
+
+def test_level_window_edges_match_reference():
+    # the resolute case sums only the levels within B of z[k-1]; these budgets put the
+    # window's far end just inside, at and just past the last level of the full range
+    # (n when adding, 1 when removing), and around the gap to the best loser
+    rng = random.Random(6153)
+    for _ in range(60):
+        m = rng.randint(2, 6)
+        n = rng.randint(1, 40)
+        k = rng.randint(1, m - 1)
+        e = election_with_scores(rng, n, planted_scores(rng, m, n, k, "resolute"))
+        z = sorted(approval_scores(e), reverse=True)
+        gap = z[k - 1] - z[k]
+        for kind, far in (("add", n - z[k - 1]), ("remove", z[k - 1] - 1)):
+            slots = n * m - sum(z) if kind == "add" else sum(z)
+            edges = {far - 1, far, far + 1, gap - 1, gap, gap + 1}
+            for budget in sorted(b for b in edges if 0 <= b <= slots):
+                check(e, k, kind, budget)

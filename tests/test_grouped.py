@@ -4,8 +4,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
-import sys
-import threading
 import tracemalloc
 from collections import Counter
 from copy import deepcopy
@@ -21,19 +19,20 @@ from mwrobust import (
     apply,
     apply_sequence,
     approval_score,
-    av_count_unchanged,
     committee_score,
     displacement,
     election,
     feasible_operations,
     is_feasible,
     level_argmax,
+    oracle_count_unchanged,
     preset_rule,
     render_diff_matrix,
     sav_score,
     winner_set,
 )
 from mwrobust import perturb
+from mwrobust.core import _Profile
 
 from common import random_feasible_op
 
@@ -96,10 +95,19 @@ class TestAgainstRebuilds:
                 op = random_feasible_op(rng, e)
                 if op is None:
                     break
-                child = apply(e, op)
-                assert child == election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
-                assert child.groups == Counter(child.ballots)
+                child, rebuilt = apply(e, op), election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
+                assert child == rebuilt and rebuilt == child
+                assert hash(child) == hash(rebuilt) and repr(child) == repr(rebuilt)
+                assert [getattr(child, f.name) for f in dataclasses.fields(child)] == [
+                    rebuilt.num_candidates,
+                    rebuilt.ballots,
+                    rebuilt.tiebreak,
+                ]
+                assert child.groups == rebuilt.groups == Counter(child.ballots)
                 assert e.groups == Counter(e.ballots)  # the parent is untouched
+                assert child.n == rebuilt.n and is_feasible(child, op) == is_feasible(rebuilt, op)
+                assert render_diff_matrix(e, child) == render_diff_matrix(e, rebuilt)
+                assert render_diff_matrix(child, e) == render_diff_matrix(rebuilt, e)
                 e = child
 
     def test_displacement_matches_definition(self, with_tiebreak):
@@ -154,107 +162,59 @@ class TestGroupsAreDerived:
         child = apply_sequence(e, [Add(1, 0), Remove(0, 1)])
         copy = pickle.loads(pickle.dumps(child))
         assert copy == child and copy.groups == Counter(child.ballots)
-
-
-class TestUnreadChildren:
-    """An ``apply`` child shares its parent's voter tuple until ``ballots`` is first read."""
-
-    @staticmethod
-    def cases(seed: int, count: int = 150):
-        """(parent, feasible op, the child rebuilt by ``election``, rng) for small random elections."""
-        rng = random.Random(seed)
-        for _ in range(count):
+        rng = random.Random(3071)
+        for _ in range(150):
             e = duplicated_election(rng, with_tiebreak=rng.random() < 0.5)
             op = random_feasible_op(rng, e)
-            if op is not None:
-                yield e, op, election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak), rng
-
-    @staticmethod
-    def unread(e: Election, op) -> Election:
-        child = apply(e, op)
-        assert "ballots" not in vars(child)
-        return child
-
-    def test_equality_hash_repr_and_fields(self):
-        for e, op, rebuilt, _ in self.cases(3061):
-            assert self.unread(e, op) == rebuilt
-            assert rebuilt == self.unread(e, op)
-            assert hash(self.unread(e, op)) == hash(rebuilt)
-            assert repr(self.unread(e, op)) == repr(rebuilt)
-            child = self.unread(e, op)
-            assert [getattr(child, f.name) for f in dataclasses.fields(child)] == [
-                rebuilt.num_candidates,
-                rebuilt.ballots,
-                rebuilt.tiebreak,
-            ]
-            assert child.groups == rebuilt.groups
-
-    def test_replace_pickle_and_deepcopy(self):
-        for e, op, rebuilt, _ in self.cases(3071):
-            for copied in (
-                dataclasses.replace(self.unread(e, op)),
-                pickle.loads(pickle.dumps(self.unread(e, op))),
-                deepcopy(self.unread(e, op)),
-            ):
-                assert "_edit" not in vars(copied)
+            if op is None:
+                continue
+            child, rebuilt = apply(e, op), election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
+            for copied in (dataclasses.replace(child), pickle.loads(pickle.dumps(child)), deepcopy(child)):
                 assert copied == rebuilt and copied.groups == rebuilt.groups
-            replaced = dataclasses.replace(self.unread(e, op), tiebreak=None)
-            assert replaced == dataclasses.replace(rebuilt, tiebreak=None)
+            assert dataclasses.replace(child, tiebreak=None) == dataclasses.replace(rebuilt, tiebreak=None)
 
-    def test_readers_see_the_edited_tuple(self):
-        for e, op, rebuilt, rng in self.cases(3081):
-            assert self.unread(e, op).n == rebuilt.n
-            probe = random_feasible_op(rng, rebuilt)
-            if probe is not None:
-                assert is_feasible(self.unread(e, op), probe)
-                grandchild = apply(self.unread(e, op), probe)
-                assert grandchild == apply(rebuilt, probe) and grandchild.groups == Counter(grandchild.ballots)
-            assert is_feasible(self.unread(e, op), op) == is_feasible(rebuilt, op)
-            assert render_diff_matrix(e, self.unread(e, op)) == render_diff_matrix(e, rebuilt)
-            assert render_diff_matrix(self.unread(e, op), e) == render_diff_matrix(rebuilt, e)
 
-    def test_av_counting_reads_only_the_groups(self):
-        for e, op, rebuilt, rng in self.cases(3091):
+class TestScoredFromCounts:
+    """Displacement, level and the counting oracle score perturbed ballot counts, never a child election."""
+
+    def test_profiles_score_like_rebuilt_elections(self):
+        rng = random.Random(3101)
+        for _ in range(150):
+            e = duplicated_election(rng, with_tiebreak=rng.random() < 0.5)
+            op = random_feasible_op(rng, e)
             k = rng.randint(1, e.m)
-            approvals = sum(map(len, rebuilt.ballots))
-            for kind, slots in (("add", rebuilt.n * e.m - approvals), ("remove", approvals)):
-                budget = rng.randint(0, min(slots, 3))
-                child = self.unread(e, op)
-                assert av_count_unchanged(child, k, kind, budget) == av_count_unchanged(rebuilt, k, kind, budget)
-                assert "ballots" not in vars(child)
+            for name in PRESETS:
+                rule = preset_rule(name, k)
+                assert winner_set(_Profile(e.m, e.groups, e.tiebreak), k, rule) == winner_set(e, k, rule)
+                if op is not None:
+                    rebuilt = election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
+                    assert winner_set(perturb._perturbed(e, op), k, rule) == winner_set(rebuilt, k, rule)
 
-    def test_apply_does_not_copy_the_voter_tuple(self):
+    def test_counting_oracle_builds_no_child(self, monkeypatch):
+        e = election(4, [[0], [1, 2], [0], [0, 3], [1, 2], [3]], tiebreak=(3, 1, 0, 2))
+        cases = [(name, kind) for name in PRESETS for kind in ("add", "remove")]
+        expected = [oracle_count_unchanged(e, 2, preset_rule(name, 2), kind, 2) for name, kind in cases]
+
+        def no_child(*args):
+            raise AssertionError("the counting oracle built a child election")
+
+        monkeypatch.setattr(Election, "_with_ballot", no_child)
+        assert [oracle_count_unchanged(e, 2, preset_rule(name, 2), kind, 2) for name, kind in cases] == expected
+
+    def test_displacement_and_level_copy_no_voter_tuple(self):
         halves = (frozenset({0}), frozenset({1, 2}))
         e = Election(3, (halves[0],) * 100_000 + (halves[1],) * 100_000)
+        rule = preset_rule("av", 1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            child = apply(e, Add(0, 1))
+            drift = displacement(e, 1, rule, Add(0, 1))
+            level = level_argmax(e, 1, rule, "add")
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024  # a copy of the tuple alone is 1.6 MB
-        assert child.groups == {halves[0]: 99_999, frozenset({0, 1}): 1, halves[1]: 100_000}
-        assert child.ballots[:2] == (frozenset({0, 1}), halves[0]) and child.n == 200_000
-
-    def test_concurrent_first_reads_agree(self):
-        parent = Election(3, (frozenset({0}),) * 2_000)
-        children = [apply(parent, Add(v, 1)) for v in range(300)]
-        expected = [tuple(frozenset({0, 1}) if u == v else frozenset({0}) for u in range(2_000)) for v in range(300)]
-        reads: list[list] = [[] for _ in range(8)]  # more threads than cores on common CI runners
-        threads = [threading.Thread(target=lambda out=out: out.extend(c.ballots for c in children)) for out in reads]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(out == expected for out in reads)
-        assert not any("_edit" in vars(child) for child in children)
+        assert drift == 1 and level == (1, Add(0, 1))  # all three candidates tie at 100,000 approvals
 
 
 def reference_committee_score(e: Election, scoring, committee) -> Fraction:

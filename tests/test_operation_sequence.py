@@ -105,14 +105,14 @@ def test_unknown_kind_is_refused():
 
 def test_level_argmax_tries_first_holders_in_voter_order(monkeypatch):
     """The operations ``level_argmax`` tries are those of each ballot type's first voter, in voter order."""
-    real_apply = mwrobust.perturb.apply
+    real_perturbed = mwrobust.perturb._perturbed
     tried = []
 
-    def recording_apply(e, op):
+    def recording_perturbed(e, op):
         tried.append(op)
-        return real_apply(e, op)
+        return real_perturbed(e, op)
 
-    monkeypatch.setattr(mwrobust.perturb, "apply", recording_apply)
+    monkeypatch.setattr(mwrobust.perturb, "_perturbed", recording_perturbed)
     rng = random.Random(9106)
     for _ in range(60):
         m = rng.randint(2, 5)
