@@ -95,19 +95,10 @@ class TestAgainstRebuilds:
                 op = random_feasible_op(rng, e)
                 if op is None:
                     break
-                child, rebuilt = apply(e, op), election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
-                assert child == rebuilt and rebuilt == child
-                assert hash(child) == hash(rebuilt) and repr(child) == repr(rebuilt)
-                assert [getattr(child, f.name) for f in dataclasses.fields(child)] == [
-                    rebuilt.num_candidates,
-                    rebuilt.ballots,
-                    rebuilt.tiebreak,
-                ]
-                assert child.groups == rebuilt.groups == Counter(child.ballots)
+                child = apply(e, op)
+                assert child == election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
+                assert child.groups == Counter(child.ballots)
                 assert e.groups == Counter(e.ballots)  # the parent is untouched
-                assert child.n == rebuilt.n and is_feasible(child, op) == is_feasible(rebuilt, op)
-                assert render_diff_matrix(e, child) == render_diff_matrix(e, rebuilt)
-                assert render_diff_matrix(child, e) == render_diff_matrix(rebuilt, e)
                 e = child
 
     def test_displacement_matches_definition(self, with_tiebreak):
@@ -162,16 +153,57 @@ class TestGroupsAreDerived:
         child = apply_sequence(e, [Add(1, 0), Remove(0, 1)])
         copy = pickle.loads(pickle.dumps(child))
         assert copy == child and copy.groups == Counter(child.ballots)
-        rng = random.Random(3071)
-        for _ in range(150):
+
+
+class TestUnreadChildren:
+    """A fresh ``apply`` child, first read through the attribute under test, matches the rebuilt election."""
+
+    @staticmethod
+    def cases(seed: int, count: int = 150):
+        """(parent, feasible op, the child rebuilt by ``election``, rng) for small random elections."""
+        rng = random.Random(seed)
+        for _ in range(count):
             e = duplicated_election(rng, with_tiebreak=rng.random() < 0.5)
             op = random_feasible_op(rng, e)
-            if op is None:
-                continue
-            child, rebuilt = apply(e, op), election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak)
-            for copied in (dataclasses.replace(child), pickle.loads(pickle.dumps(child)), deepcopy(child)):
+            if op is not None:
+                yield e, op, election(e.m, edited_ballots(e, op), tiebreak=e.tiebreak), rng
+
+    def test_equality_hash_repr_and_fields(self):
+        for e, op, rebuilt, _ in self.cases(3061):
+            assert apply(e, op) == rebuilt
+            assert rebuilt == apply(e, op)
+            assert hash(apply(e, op)) == hash(rebuilt)
+            assert repr(apply(e, op)) == repr(rebuilt)
+            child = apply(e, op)
+            assert [getattr(child, f.name) for f in dataclasses.fields(child)] == [
+                rebuilt.num_candidates,
+                rebuilt.ballots,
+                rebuilt.tiebreak,
+            ]
+            assert child.groups == rebuilt.groups
+
+    def test_replace_pickle_and_deepcopy(self):
+        for e, op, rebuilt, _ in self.cases(3071):
+            for copied in (
+                dataclasses.replace(apply(e, op)),
+                pickle.loads(pickle.dumps(apply(e, op))),
+                deepcopy(apply(e, op)),
+            ):
                 assert copied == rebuilt and copied.groups == rebuilt.groups
-            assert dataclasses.replace(child, tiebreak=None) == dataclasses.replace(rebuilt, tiebreak=None)
+            replaced = dataclasses.replace(apply(e, op), tiebreak=None)
+            assert replaced == dataclasses.replace(rebuilt, tiebreak=None)
+
+    def test_readers_see_the_edited_tuple(self):
+        for e, op, rebuilt, rng in self.cases(3081):
+            assert apply(e, op).n == rebuilt.n
+            probe = random_feasible_op(rng, rebuilt)
+            if probe is not None:
+                assert is_feasible(apply(e, op), probe)
+                grandchild = apply(apply(e, op), probe)
+                assert grandchild == apply(rebuilt, probe) and grandchild.groups == Counter(grandchild.ballots)
+            assert is_feasible(apply(e, op), op) == is_feasible(rebuilt, op)
+            assert render_diff_matrix(e, apply(e, op)) == render_diff_matrix(e, rebuilt)
+            assert render_diff_matrix(apply(e, op), e) == render_diff_matrix(rebuilt, e)
 
 
 class TestScoredFromCounts:
