@@ -37,15 +37,15 @@ class _Profile(NamedTuple):
         return tuple(range(self.m))
 
 
-def _regrouped(groups: dict[frozenset[int], int], moves: Iterable[tuple[frozenset[int], frozenset[int]]]) -> dict:
-    """A copy of ``groups`` with one voter moved from ``old`` to ``new`` for each ``(old, new)`` in ``moves``."""
-    groups = dict(groups)
+def _profile_after(e: Election, moves: Iterable[tuple[frozenset[int], frozenset[int]]]) -> _Profile:
+    """``e``'s ballot counts with one voter moved from ``old`` to ``new`` for each ``(old, new)`` in ``moves``."""
+    groups = dict(e.groups)
     for old, new in moves:
         groups[old] -= 1
         if not groups[old]:
             del groups[old]
         groups[new] = groups.get(new, 0) + 1
-    return groups
+    return _Profile(e.num_candidates, groups, e.tiebreak)
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ class Election:
         if self.tiebreak is not None and sorted(self.tiebreak) != list(range(m)):
             raise ValueError(f"tiebreak must be a permutation of 0..{m - 1}, got {self.tiebreak}")
         object.__setattr__(self, "groups", groups)
-
-    def _with_ballot(self, voter: int, ballot: frozenset[int]) -> Election:
-        """This election with ``voter`` casting the valid ``ballot``, unchecked: one copy of the voter tuple."""
-        # one list copy, not two slices and two concatenations: every copied reference
-        # is an increment, and these serialize when many voters share one ballot object
-        ballots = list(self.ballots)
-        old, ballots[voter] = ballots[voter], ballot
-        groups = _regrouped(self.groups, [(old, ballot)])
-        child = object.__new__(Election)
-        vars(child).update(
-            num_candidates=self.num_candidates, ballots=tuple(ballots), tiebreak=self.tiebreak, groups=groups
-        )
-        return child
 
     @property
     def m(self) -> int:

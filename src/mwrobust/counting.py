@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .core import CapExceeded, Election, _Profile, _regrouped, approval_scores
+from .core import CapExceeded, Election, _profile_after, approval_scores
 from .perturb import _moves
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal
 
@@ -170,8 +170,7 @@ def oracle_count_unchanged(
     edit = frozenset.union if kind == "add" else frozenset.difference
     unchanged = covered = 0
     for changes, weight in _orbits(types, budget):
-        moves = [(ballot, edit(ballot, subset)) for ballot, subset in changes]
-        after = _Profile(e.m, _regrouped(e.groups, moves), e.tiebreak)
+        after = _profile_after(e, [(ballot, edit(ballot, subset)) for ballot, subset in changes])
         if winner_sets_equal(base, winner_set(after, k, rule, cap), cap):
             unchanged += weight
         covered += weight

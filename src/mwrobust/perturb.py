@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 
-from .core import Election, _Profile, _regrouped
+from .core import Election, _Profile, _profile_after
 from .rules import DEFAULT_CAP, RuleSpec, winner_set
 
 OP_KINDS = ("add", "remove", "swap")
@@ -41,6 +41,7 @@ class Swap:
 
 
 Operation = Add | Remove | Swap
+_OP_TYPES = {"add": Add, "remove": Remove, "swap": Swap}
 
 
 def op_kind(op: Operation) -> str:
@@ -70,8 +71,9 @@ def is_feasible(e: Election, op: Operation) -> bool:
 
 def apply(e: Election, op: Operation) -> Election:
     """The election after ``op``; raises on an infeasible operation."""
-    # the parent is valid and ``op`` is feasible, so no ballot needs re-checking
-    return e._with_ballot(op.voter, _change(e, op)[1])
+    ballots = list(e.ballots)
+    ballots[op.voter] = _change(e, op)[1]
+    return Election(e.num_candidates, tuple(ballots), e.tiebreak)
 
 
 def _change(e: Election, op: Operation) -> tuple[frozenset[int], frozenset[int]]:
@@ -79,16 +81,21 @@ def _change(e: Election, op: Operation) -> tuple[frozenset[int], frozenset[int]]
     if not is_feasible(e, op):
         raise ValueError(f"operation {op} is not feasible")
     ballot = e.ballots[op.voter]
+    return ballot, _after(ballot, op)
+
+
+def _after(ballot: frozenset[int], op: Operation) -> frozenset[int]:
+    """``ballot`` after ``op``, which must be feasible on it."""
     if isinstance(op, Add):
-        return ballot, ballot | {op.candidate}
+        return ballot | {op.candidate}
     if isinstance(op, Remove):
-        return ballot, ballot - {op.candidate}
-    return ballot, (ballot - {op.source}) | {op.target}
+        return ballot - {op.candidate}
+    return (ballot - {op.source}) | {op.target}
 
 
 def _perturbed(e: Election, op: Operation) -> _Profile:
     """The ballot counts after ``op``, in O(groups), for scoring; raises on an infeasible operation."""
-    return _Profile(e.num_candidates, _regrouped(e.groups, [_change(e, op)]), e.tiebreak)
+    return _profile_after(e, [_change(e, op)])
 
 
 def apply_sequence(e: Election, ops: Iterable[Operation]) -> Election:
@@ -122,8 +129,7 @@ class _Operations(Sequence):
     def __init__(self, e: Election, kind: str) -> None:
         if kind not in OP_KINDS:
             raise ValueError(f"unknown operation kind {kind!r}")
-        self._make = {"add": Add, "remove": Remove, "swap": Swap}[kind]
-        self._ballots = e.ballots
+        self._kind, self._m, self._ballots = kind, e.m, e.ballots
         self._moves = {ballot: _moves(kind, ballot, e.m) for ballot in e.groups}
 
     @cached_property
@@ -146,14 +152,11 @@ class _Operations(Sequence):
             raise IndexError("operation index out of range")
         v = bisect_right(self._ends, i)
         offset = i - (self._ends[v - 1] if v else 0)
-        return self._make(v, *(column[offset] for column in self._moves[self._ballots[v]]))
+        return _OP_TYPES[self._kind](v, *(column[offset] for column in self._moves[self._ballots[v]]))
 
     def __iter__(self) -> Iterator[Operation]:
-        return chain.from_iterable(map(self._of_voter, range(len(self._ballots))))
-
-    def _of_voter(self, v: int) -> Iterator[Operation]:
-        """The operations of voter ``v``, in candidate order."""
-        return map(self._make, repeat(v), *self._moves[self._ballots[v]])
+        ops = (_voter_ops(self._kind, v, ballot, self._m, self._moves) for v, ballot in enumerate(self._ballots))
+        return chain.from_iterable(ops)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -162,6 +165,13 @@ class _Operations(Sequence):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self)!r})"
+
+
+def _voter_ops(kind: str, v: int, ballot: frozenset[int], m: int, tables: dict) -> Iterator[Operation]:
+    """Voter ``v``'s operations of ``kind`` on ``ballot`` in candidate order; ``tables`` caches move tables."""
+    if ballot not in tables:
+        tables[ballot] = _moves(kind, ballot, m)
+    return map(_OP_TYPES[kind], repeat(v), *tables[ballot])
 
 
 def _moves(kind: str, ballot: frozenset[int], m: int) -> tuple[list[int], ...]:
@@ -204,11 +214,12 @@ def level_argmax(
     The operation is the first maximiser in (voter, candidate) order; voters with
     equal ballots cause equal displacements, so only the first of them is tried.
     """
-    ops = _Operations(e, kind)
+    if kind not in OP_KINDS:
+        raise ValueError(f"unknown operation kind {kind!r}")
     # walking the voters backwards, each ballot's last write is its first voter
     first = dict(zip(reversed(e.ballots), reversed(range(e.n))))
-    level, argmax, before = 0, None, None
-    for op in chain.from_iterable(map(ops._of_voter, sorted(first.values()))):
+    level, argmax, before, tables = 0, None, None, {}
+    for op in chain.from_iterable(_voter_ops(kind, v, e.ballots[v], e.m, tables) for v in sorted(first.values())):
         if before is None:
             before = winner_set(e, k, rule, cap).committees(cap)
         d = _drift(before, _perturbed(e, op), k, rule, cap)

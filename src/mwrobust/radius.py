@@ -3,11 +3,11 @@
 ``av_radius`` and ``sav_radius`` are exact closed-form/greedy algorithms for
 the two separable rules; they read the ballot groups ``e.groups``, never the
 voter tuple (SAV counts, per candidate pair, the votes of each size that
-approve x, y, both or neither).  ``oracle_radius`` is a rule-agnostic breadth-first
-search over perturbed elections, usable as an independent check and for the
-sequential rules; ``robustness_radius`` chooses between them.  All radii
-are with respect to one operation kind applied repeatedly (``add``,
-``remove`` or ``swap``).
+approve x, y, both or neither).  ``oracle_radius`` is a rule-agnostic
+breadth-first search over perturbed elections held as their edited voters,
+usable as an independent check and for the sequential rules;
+``robustness_radius`` chooses between them.  All radii are with respect to one
+operation kind applied repeatedly (``add``, ``remove`` or ``swap``).
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import CapExceeded, Election, approval_scores, sav_scores
-from .perturb import OP_KINDS, Operation, apply, feasible_operations
+from .core import CapExceeded, Election, _profile_after, approval_scores, sav_scores
+from .perturb import OP_KINDS, Operation, _after, _voter_ops
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal, winners_separable
 
 
@@ -301,34 +301,42 @@ def oracle_radius(
 ) -> RadiusOutcome:
     """Breadth-first search for the radius under any rule.
 
-    Explores elections reachable by 1, 2, ... operations of ``kind``,
-    deduplicated by their ballots, and stops at the first one whose winner
-    set differs.  Returns ``Impossible`` when the whole reachable space is
-    exhausted without a change, and ``ExceedsBound(max_budget)`` when the
-    budget runs out first.  A ``Finite`` result carries a witness sequence.
-    Raises ``CapExceeded`` before the search would hold more than ``cap``
-    distinct elections, ``e`` included; ``cap`` also bounds each winner set.
+    Explores elections reachable by 1, 2, ... operations of ``kind`` and stops at the
+    first one whose winner set differs.  Returns ``Impossible`` when the whole reachable
+    space is exhausted without a change, and ``ExceedsBound(max_budget)`` when the
+    budget runs out first.  A ``Finite`` result carries a witness sequence.  A state is
+    its edits, the ``(voter, ballot)`` pairs where it differs from ``e``; equal edits
+    mean equal elections, so edits key ``visited`` in O(depth) memory per state.
+    Raises ``CapExceeded`` before the search would hold more than ``cap`` distinct
+    elections, ``e`` included; ``cap`` also bounds each winner set.
     """
     if kind not in OP_KINDS:
         raise ValueError(f"unknown operation kind {kind!r}")
     if max_budget < 0:
         raise ValueError("max_budget must be nonnegative")
     base = winner_set(e, k, rule, cap)
-    visited = {e.ballots}
-    frontier: list[tuple[Election, tuple[Operation, ...]]] = [(e, ())]
+    ballots, tables = e.ballots, {}  # tables: the move table of each ballot met
+    visited = {frozenset()}
+    frontier: list[tuple[frozenset[tuple[int, frozenset[int]]], tuple[Operation, ...]]] = [(frozenset(), ())]
     for depth in range(1, max_budget + 1):
-        next_frontier: list[tuple[Election, tuple[Operation, ...]]] = []
-        for elec, ops in frontier:
-            for op in feasible_operations(elec, kind):
-                e2 = apply(elec, op)
-                if e2.ballots in visited:
-                    continue
-                if len(visited) >= cap:
-                    raise CapExceeded(f"visiting {len(visited) + 1} elections exceeds cap {cap}")
-                visited.add(e2.ballots)
-                if not winner_sets_equal(base, winner_set(e2, k, rule, cap), cap):
-                    return Finite(depth, witness=ops + (op,))
-                next_frontier.append((e2, ops + (op,)))
+        next_frontier = []
+        for edits, ops in frontier:
+            edited = dict(edits)
+            for v, original in enumerate(ballots):
+                ballot = edited.get(v, original)
+                others = edits - {(v, ballot)} if v in edited else edits
+                for op in _voter_ops(kind, v, ballot, e.m, tables):
+                    new = _after(ballot, op)
+                    child = others if new == original else others | {(v, new)}
+                    if child in visited:
+                        continue
+                    if len(visited) >= cap:
+                        raise CapExceeded(f"visiting {len(visited) + 1} elections exceeds cap {cap}")
+                    visited.add(child)
+                    after = _profile_after(e, [(ballots[u], b) for u, b in child])
+                    if not winner_sets_equal(base, winner_set(after, k, rule, cap), cap):
+                        return Finite(depth, witness=ops + (op,))
+                    next_frontier.append((child, ops + (op,)))
         if not next_frontier:
             return Impossible()
         frontier = next_frontier

@@ -26,6 +26,7 @@ from mwrobust import (
     is_feasible,
     level_argmax,
     oracle_count_unchanged,
+    oracle_radius,
     preset_rule,
     render_diff_matrix,
     sav_score,
@@ -206,8 +207,12 @@ class TestUnreadChildren:
             assert render_diff_matrix(apply(e, op), e) == render_diff_matrix(rebuilt, e)
 
 
+def no_election(self):
+    raise AssertionError("a search built a child election")
+
+
 class TestScoredFromCounts:
-    """Displacement, level and the counting oracle score perturbed ballot counts, never a child election."""
+    """Displacement, level, the radius search and the counting oracle score ballot counts, never a child election."""
 
     def test_profiles_score_like_rebuilt_elections(self):
         rng = random.Random(3101)
@@ -227,11 +232,24 @@ class TestScoredFromCounts:
         cases = [(name, kind) for name in PRESETS for kind in ("add", "remove")]
         expected = [oracle_count_unchanged(e, 2, preset_rule(name, 2), kind, 2) for name, kind in cases]
 
-        def no_child(*args):
-            raise AssertionError("the counting oracle built a child election")
-
-        monkeypatch.setattr(Election, "_with_ballot", no_child)
+        monkeypatch.setattr(Election, "__post_init__", no_election)
         assert [oracle_count_unchanged(e, 2, preset_rule(name, 2), kind, 2) for name, kind in cases] == expected
+
+    def test_searches_build_no_child(self, monkeypatch):
+        e = election(4, [[0], [1, 2], [0], [0, 3], [1, 2], [3]], tiebreak=(3, 1, 0, 2))
+        searches = [
+            (search, preset_rule(name, 2), kind)
+            for search in (
+                lambda rule, kind: oracle_radius(e, 2, rule, kind, 2),
+                lambda rule, kind: displacement(e, 2, rule, feasible_operations(e, kind)[0]),
+                lambda rule, kind: level_argmax(e, 2, rule, kind),
+            )
+            for name in PRESETS
+            for kind in ("add", "remove", "swap")
+        ]
+        expected = [search(rule, kind) for search, rule, kind in searches]
+        monkeypatch.setattr(Election, "__post_init__", no_election)
+        assert [search(rule, kind) for search, rule, kind in searches] == expected
 
     def test_displacement_and_level_copy_no_voter_tuple(self):
         halves = (frozenset({0}), frozenset({1, 2}))
