@@ -100,30 +100,28 @@ def _bounded_ways(
     convolution over candidates restricted to the per-candidate ranges below
     is a knapsack over the budget.
     """
-    ranges: list[tuple[int, int, int]] = []  # (pool, min_d, max_d)
+    bounds: list[tuple[int, int, int]] = []  # (pool, min_d, max_d)
     for zc in winners:
         pool = n - zc if adds else zc
-        lo = max(0, floor - zc) if adds else 0
-        hi = pool if adds else zc - floor
-        if hi < lo:
-            return 0
-        ranges.append((pool, lo, min(hi, pool)))
+        bounds.append((pool, max(0, floor - zc) if adds else 0, pool if adds else zc - floor))
     for zc in losers:
         pool = n - zc if adds else zc
-        lo = 0 if adds else max(0, zc - ceiling)
-        hi = ceiling - zc if adds else zc
-        if hi < lo:
+        bounds.append((pool, 0 if adds else max(0, zc - ceiling), ceiling - zc if adds else zc))
+    rows: list[tuple[int, list[int]]] = []  # (min_d, realisations of min_d, min_d + 1, ... cells)
+    least = 0
+    for pool, lo, hi in bounds:
+        least += lo
+        if hi < lo or least > budget:
             return 0
-        ranges.append((pool, lo, min(hi, pool)))
+        rows.append((lo, [math.comb(pool, d) for d in range(lo, min(hi, pool, budget) + 1)]))
     ways = [0] * (budget + 1)
     ways[0] = 1
-    for pool, lo, hi in ranges:
+    for lo, row in rows:
         nxt = [0] * (budget + 1)
-        for spent in range(budget + 1):
-            if not ways[spent]:
-                continue
-            for d in range(lo, min(hi, budget - spent) + 1):
-                nxt[spent + d] += ways[spent] * math.comb(pool, d)
+        for spent, w in enumerate(ways[: budget - lo + 1]):
+            if w:
+                for total, realisations in enumerate(row[: budget - spent - lo + 1], start=spent + lo):
+                    nxt[total] += w * realisations
         ways = nxt
     return ways[budget]
 

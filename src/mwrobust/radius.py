@@ -12,8 +12,10 @@ operation kind applied repeatedly (``add``, ``remove`` or ``swap``).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .core import CapExceeded, Election, _profile_after, approval_scores, sav_scores
 from .perturb import OP_KINDS, Operation, _after, _voter_ops
@@ -218,29 +220,33 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
     of the first two categories to use and covers the rest by "digging
     into" y-votes smallest-first.
     """
-    both = sorted(a for (a, has_x, has_y), c in votes.items() if has_x and has_y for _ in range(c))
-    x_only = sorted(a for (a, has_x, has_y), c in votes.items() if has_x and not has_y for _ in range(c))
-    # diggable y-vote sizes and their counts; a converted both-vote joins them one smaller
-    chains = Counter({a: c for (a, has_x, has_y), c in votes.items() if has_y and not has_x and a >= 2})
-
+    both: Counter[int] = Counter()
+    x_only: Counter[int] = Counter()
+    chains: Counter[int] = Counter()  # diggable y-vote sizes; a converted both-vote joins them one smaller
+    for (a, has_x, has_y), c in votes.items():
+        if has_x:
+            (both if has_y else x_only)[a] += c
+        elif has_y and a >= 2:
+            chains[a] += c
+    both_sizes = chain.from_iterable(repeat(a, c) for a, c in sorted(both.items()))  # smallest first
+    # the gap closed by removing x from the b_x smallest x-only votes, summed only as far as it is read
     xonly_prefix = [Fraction(0)]
-    for a in x_only:
-        xonly_prefix.append(xonly_prefix[-1] + Fraction(1, a))
+    xonly_gains = chain.from_iterable(repeat(Fraction(1, a), c) for a, c in sorted(x_only.items()))
 
     best: int | None = None
     left = delta  # the gap after converting the first b_both both-votes
     buckets = _dig_buckets(chains)
-    for b_both in range(len(both) + 1):
+    for b_both in range(sum(both.values()) + 1):
         if best is not None and b_both >= best:
             break
         if b_both:
-            a = both[b_both - 1]
+            a = next(both_sizes)
             left -= Fraction(1, a - 1)
             if a - 1 >= 2:
                 chains[a - 1] += 1
                 buckets = _dig_buckets(chains)
         reach = left - buckets[-1][3] if buckets else left  # the gap left once every y-vote is dug out
-        for b_x, removed in enumerate(xonly_prefix):
+        for b_x, removed in enumerate(_read_sums(xonly_prefix, xonly_gains)):
             base_ops = b_both + b_x
             if best is not None and base_ops >= best:
                 break
@@ -253,6 +259,14 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
                 cost = base_ops + _dig_count(buckets, left - removed)
                 best = cost if best is None else min(best, cost)
     return best
+
+
+def _read_sums(sums: list[Fraction], gains: Iterator[Fraction]) -> Iterator[Fraction]:
+    """Yield the running sums held in ``sums``, then extend it from ``gains`` only as far as the caller reads."""
+    yield from sums
+    for gain in gains:
+        sums.append(sums[-1] + gain)
+        yield sums[-1]
 
 
 def _dig_buckets(chains: Counter[int]) -> list[tuple[int, int, Fraction, Fraction]]:

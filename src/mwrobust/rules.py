@@ -246,6 +246,15 @@ def greedy_thiele(e: Election, k: int, omega: ThieleVector, initial: Sequence[in
     election's priority order.  ``initial`` seeds the committee (its members
     count as already selected); the remaining ``k - len(initial)`` seats are
     filled greedily.
+
+    The marginals are kept across picks.  They are computed once, in one pass
+    over the ballot groups; a pick raises the satisfaction ``s`` of each group
+    approving it by one, so only the members of those groups change marginal,
+    each by ``count * (omega[s + 2] - omega[s + 1])``.  With ``g`` groups whose
+    distinct ballots hold ``L`` approvals in all, a run takes ``O(L)`` for the
+    first marginals and, per pick, ``O(m + g)`` for the argmax and the scan for
+    approving groups plus one step per member of each approving group; the
+    last pick updates nothing.
     """
     _check_k(e, k)
     if len(omega.weights) < k:
@@ -256,24 +265,33 @@ def greedy_thiele(e: Election, k: int, omega: ThieleVector, initial: Sequence[in
             raise ValueError(f"seed candidate {c} not in [0, {e.m})")
     if len(chosen) > k:
         raise ValueError(f"seed committee has {len(chosen)} members but k={k}")
+    if len(chosen) == k:
+        return tuple(sorted(chosen))
     weights = omega.integer_weights
+    seed = frozenset(chosen)
     groups = list(e.groups.items())
-    sat = [len(ballot & frozenset(chosen)) for ballot, _ in groups]
-    unpicked = [c for c in e.priority() if c not in chosen]
-    while len(chosen) < k:
-        marginal = [0] * e.m
-        for gi, (ballot, cnt) in enumerate(groups):
-            w = weights[sat[gi]]  # sat <= len(chosen) < k
-            if w:
-                for c in ballot:
-                    marginal[c] += cnt * w
+    sat = [len(ballot & seed) for ballot, _ in groups]  # stays < k while a pick remains
+    marginal = [0] * e.m
+    for (ballot, cnt), s in zip(groups, sat):
+        w = cnt * weights[s]
+        if w:
+            for c in ballot:
+                marginal[c] += w
+    unpicked = [c for c in e.priority() if c not in seed]
+    while True:
         best = max(unpicked, key=marginal.__getitem__)  # max keeps the first, so ties go by priority
         chosen.append(best)
+        if len(chosen) == k:
+            return tuple(sorted(chosen))
         unpicked.remove(best)
-        for gi, (ballot, _) in enumerate(groups):
+        for gi, (ballot, cnt) in enumerate(groups):
             if best in ballot:
-                sat[gi] += 1
-    return tuple(sorted(chosen))
+                s = sat[gi]
+                sat[gi] = s + 1
+                step = cnt * (weights[s + 1] - weights[s])
+                if step:
+                    for c in ballot:
+                        marginal[c] += step
 
 
 def phragmen(e: Election, k: int) -> Committee:

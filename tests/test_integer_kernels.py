@@ -1,8 +1,9 @@
 """Integer rule kernels against test-local Fraction references.
 
-Sequential Phragmén keeps its loads as integers over one common scale, and
+Sequential Phragmén keeps its loads as integers over one common scale,
 ``ThieleVector`` scales its weights to integers once, by the lcm of all its
-denominators.  These tests hold both against straightforward ``Fraction``
+denominators, and greedy Thiele keeps its integer marginals across picks.
+These tests hold all three against straightforward ``Fraction``
 computations, on random elections and on the reduction gadgets.
 """
 from __future__ import annotations
@@ -125,10 +126,10 @@ def fraction_thiele_winners(e, k, weights):
     return tuple(s for s, score in scores.items() if score == best)
 
 
-def fraction_greedy(e, k, weights):
-    """Sequential Thiele on ``Fraction`` marginals; ties go to the priority order."""
-    chosen: list[int] = []
-    for _ in range(k):
+def fraction_greedy(e, k, weights, initial=()):
+    """Sequential Thiele on ``Fraction`` marginals recomputed per voter each round; ties go to the priority order."""
+    chosen = list(dict.fromkeys(initial))
+    while len(chosen) < k:
         def marginal(c):
             return sum(weights[len(b & frozenset(chosen))] for b in e.ballots if c in b)
 
@@ -163,6 +164,29 @@ class TestThieleWeights:
             for k in range(1, min(e.m, 3) + 1):
                 assert winners_thiele(e, k, omega).committee_list == fraction_thiele_winners(e, k, weights), (e, k)
                 assert greedy_thiele(e, k, omega) == fraction_greedy(e, k, weights), (e, k)
+
+    @pytest.mark.parametrize("seed", [6303, 6304])
+    def test_greedy_keeps_marginals_for_every_k_and_seed_committee(self, seed):
+        rng = random.Random(seed)
+        seeded = 0
+        for _ in range(300):
+            weights = tuple(map(Fraction, rng.choice(UNEVEN)))
+            omega = thiele_vector(weights)
+            # up to 30 voters over at most 6 ballot types: most groups hold several voters
+            e = random_profile(rng, (2, len(weights)), (0, 30))
+            for k in range(1, e.m + 1):
+                initial = rng.choices(range(e.m), k=rng.randint(0, k))  # may repeat a candidate
+                seeded += bool(initial)
+                assert greedy_thiele(e, k, omega, initial) == fraction_greedy(e, k, weights, initial), (e, k, initial)
+        assert seeded > 500
+
+    @pytest.mark.parametrize("name", ("cc", "pav"))
+    def test_greedy_gadgets(self, name):
+        bundle = rx3c_to_greedy(no_cover_rx3c_n2(), name)
+        e = bundle.election
+        for k in sorted({1, bundle.k, e.m}):
+            omega = getattr(ThieleVector, name)(k)
+            assert greedy_thiele(e, k, omega) == fraction_greedy(e, k, omega.weights), k
 
     def test_dataclass_behaviour_unaffected(self):
         omega = thiele_vector((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
