@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import constructions as cons
@@ -23,9 +22,8 @@ from .core import CapExceeded, Election, approval_scores, election, render_diff_
 from .counting import count_unchanged
 from .perturb import OP_KINDS, Operation, level_argmax, op_kind
 from .radius import ExceedsBound, Finite, robustness_radius
-from .rules import DEFAULT_CAP, WINNER_PROVENANCE, RuleSpec, ThieleVector, ThresholdWinners, preset_rule, winner_set
+from .rules import DEFAULT_CAP, PRESETS, WINNER_PROVENANCE, ThieleVector, ThresholdWinners, preset_rule, winner_set
 
-RULE_PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
 WITNESS_FAMILIES = ("sav-add", "sav-remove", "thiele-add", "thiele-remove", "thiele-swap")
 REDUCE_TARGETS = ("thiele", "greedy-cc", "greedy-pav", "phragmen", "sav-count")
 
@@ -34,16 +32,6 @@ INLINE_VOTER_LIMIT = 100_000
 
 #: JSON numbers stay exact up to 2^53; larger counts travel as strings.
 _JSON_SAFE_INT = 2**53
-
-
-def _default_cap() -> int:
-    raw = os.environ.get("MWROBUST_CAP")
-    if not raw:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"MWROBUST_CAP must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -118,37 +106,6 @@ def serialize_election(e: Election) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Requests
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """One CLI invocation, normalised: analysis parameters plus I/O choices.
-
-    The field defaults are the CLI's defaults; ``cap`` defaults to the
-    ``MWROBUST_CAP`` environment variable, else ``DEFAULT_CAP``.
-    """
-
-    subcommand: str
-    inputs: tuple[str, ...] = ()
-    rule: str | None = None
-    k: int | None = None
-    op: str | None = None
-    budget: int | None = None
-    method: str | None = None
-    cap: int = field(default_factory=_default_cap)
-    alpha: str = "1/2"
-    which: str | None = None
-    target: str | None = None
-    max_voters: int = cons.DEFAULT_MAX_VOTERS
-    election_out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.cap < 1:
-            raise ValueError(f"cap must be a positive integer, got {self.cap}")
-
-
-# ---------------------------------------------------------------------------
 # JSON helpers
 
 
@@ -204,13 +161,13 @@ def _radius_json(outcome) -> dict:
     return {"outcome": "impossible"}
 
 
-def _result(req: RunRequest, provenance: str, **extra) -> dict:
+def _result(args: argparse.Namespace, provenance: str, **extra) -> dict:
     payload = {
-        "command": req.subcommand,
-        "rule": req.rule,
-        "k": req.k,
-        "op": req.op,
-        "method": req.method,
+        "command": args.subcommand,
+        "rule": args.rule,
+        "k": args.k,
+        "op": args.op,
+        "method": args.method,
         "provenance": provenance,
     }
     payload.update(extra)
@@ -224,67 +181,65 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_election(req: RunRequest, index: int = 0) -> Election:
-    return parse_election(_read_text(req.inputs[index]))
-
-
-def _rule(req: RunRequest) -> RuleSpec:
-    return preset_rule(req.rule, req.k)
+def _load_election(path: str) -> Election:
+    return parse_election(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _run_winners(req: RunRequest) -> dict:
-    e = _load_election(req)
-    rule = _rule(req)
-    ws = winner_set(e, req.k, rule, cap=req.cap)
-    extra = {"winners": _winner_set_json(ws, req.cap)}
-    if req.rule == "av":
+def _run_winners(args: argparse.Namespace) -> dict:
+    e = _load_election(args.election)
+    rule = preset_rule(args.rule, args.k)
+    ws = winner_set(e, args.k, rule, cap=args.cap)
+    extra = {"winners": _winner_set_json(ws, args.cap)}
+    if args.rule == "av":
         extra["scores"] = approval_scores(e)
-    elif req.rule == "sav":
+    elif args.rule == "sav":
         extra["scores"] = [str(s) for s in sav_scores(e)]
-    return _result(req, WINNER_PROVENANCE[rule.kind], **extra)
+    return _result(args, WINNER_PROVENANCE[rule.kind], **extra)
 
 
-def _run_radius(req: RunRequest) -> dict:
+def _run_radius(args: argparse.Namespace) -> dict:
+    e = _load_election(args.election)
     outcome, method, provenance = robustness_radius(
-        _load_election(req), req.k, _rule(req), req.op, method=req.method, budget=req.budget, cap=req.cap
+        e, args.k, preset_rule(args.rule, args.k), args.op, method=args.method, budget=args.budget, cap=args.cap
     )
     extra = {"radius": _radius_json(outcome)}
-    if req.budget is not None:
-        extra["decision"] = isinstance(outcome, Finite) and outcome.value <= req.budget
-    return _result(req, provenance, method=method, **extra, budget=req.budget)
+    if args.budget is not None:
+        extra["decision"] = isinstance(outcome, Finite) and outcome.value <= args.budget
+    return _result(args, provenance, method=method, **extra, budget=args.budget)
 
 
-def _run_count(req: RunRequest) -> dict:
+def _run_count(args: argparse.Namespace) -> dict:
+    e = _load_election(args.election)
     outcome, method, provenance = count_unchanged(
-        _load_election(req), req.k, _rule(req), req.op, req.budget, method=req.method, cap=req.cap
+        e, args.k, preset_rule(args.rule, args.k), args.op, args.budget, method=args.method, cap=args.cap
     )
     return _result(
-        req,
+        args,
         provenance,
         method=method,
         unchanged=_int_json(outcome.unchanged),
         total=_int_json(outcome.total),
         probability=str(outcome.probability),
-        budget=req.budget,
+        budget=args.budget,
     )
 
 
-def _run_level(req: RunRequest) -> dict:
-    e = _load_election(req)
-    level, op = level_argmax(e, req.k, _rule(req), req.op, cap=req.cap)
+def _run_level(args: argparse.Namespace) -> dict:
+    e = _load_election(args.election)
+    level, op = level_argmax(e, args.k, preset_rule(args.rule, args.k), args.op, cap=args.cap)
     return _result(
-        req,
+        args,
         "exhaustive-operations",
         level=level,
         argmax_op=_op_json(op) if op is not None else None,
     )
 
 
-def _bundle_json(bundle: cons.GadgetBundle, req: RunRequest) -> dict:
+def _bundle_json(bundle: cons.GadgetBundle, election_out: str | None) -> dict:
     payload = {
         "k": bundle.k,
         "op": bundle.op_kind,
@@ -298,10 +253,10 @@ def _bundle_json(bundle: cons.GadgetBundle, req: RunRequest) -> dict:
     }
     if bundle.op is not None:
         payload["operation"] = _op_json(bundle.op)
-    if req.election_out:
-        with open(req.election_out, "w", encoding="utf-8") as fh:
+    if election_out:
+        with open(election_out, "w", encoding="utf-8") as fh:
             fh.write(serialize_election(bundle.election))
-        payload["election_file"] = req.election_out
+        payload["election_file"] = election_out
     elif bundle.election.n > INLINE_VOTER_LIMIT:
         raise ValueError(f"instance has {bundle.election.n} voters; give --election-out to write it to a file")
     else:
@@ -309,39 +264,39 @@ def _bundle_json(bundle: cons.GadgetBundle, req: RunRequest) -> dict:
     return payload
 
 
-def _run_witness(req: RunRequest) -> dict:
-    if req.which == "sav-add":
-        bundle = cons.sav_add_witness(req.k)
-    elif req.which == "sav-remove":
-        bundle = cons.sav_remove_witness(req.k)
+def _run_witness(args: argparse.Namespace) -> dict:
+    if args.which == "sav-add":
+        bundle = cons.sav_add_witness(args.k)
+    elif args.which == "sav-remove":
+        bundle = cons.sav_remove_witness(args.k)
     else:
-        bundle = cons.thiele_witness(req.k, req.which.split("-", 1)[1])
-    return _result(req, "construction", family=req.which, **_bundle_json(bundle, req))
+        bundle = cons.thiele_witness(args.k, args.which.split("-", 1)[1])
+    return _result(args, "construction", family=args.which, **_bundle_json(bundle, args.election_out))
 
 
-def _run_reduce(req: RunRequest) -> dict:
-    text = _read_text(req.inputs[0])
-    if req.target == "sav-count":
-        bundle = cons.matching_to_sav_counting(cons.parse_graph(text), req.op, max_voters=req.max_voters)
-    elif req.target == "thiele":
+def _run_reduce(args: argparse.Namespace) -> dict:
+    text = _read_text(args.instance)
+    if args.target == "sav-count":
+        bundle = cons.matching_to_sav_counting(cons.parse_graph(text), args.op, max_voters=args.max_voters)
+    elif args.target == "thiele":
         try:
-            alpha = Fraction(req.alpha)
+            alpha = Fraction(args.alpha)
         except ZeroDivisionError:
-            raise ValueError(f"--alpha {req.alpha} has a zero denominator") from None
-        bundle = cons.x3c_to_thiele(cons.parse_x3c(text), alpha, req.op, max_voters=req.max_voters)
+            raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
+        bundle = cons.x3c_to_thiele(cons.parse_x3c(text), alpha, args.op, max_voters=args.max_voters)
     else:
         raw = cons.parse_x3c(text)
         inst = cons.RX3CInstance(raw.universe_size, raw.sets)
-        if req.target == "phragmen":
-            bundle = cons.rx3c_to_phragmen(inst, kind=req.op, max_voters=req.max_voters)
+        if args.target == "phragmen":
+            bundle = cons.rx3c_to_phragmen(inst, kind=args.op, max_voters=args.max_voters)
         else:
-            bundle = cons.rx3c_to_greedy(inst, req.target.split("-", 1)[1], kind=req.op, max_voters=req.max_voters)
-    return _result(req, "construction", target=req.target, **_bundle_json(bundle, req))
+            bundle = cons.rx3c_to_greedy(inst, args.target.split("-", 1)[1], kind=args.op, max_voters=args.max_voters)
+    return _result(args, "construction", target=args.target, **_bundle_json(bundle, args.election_out))
 
 
-def _run_diff(req: RunRequest) -> None:
-    before = _load_election(req, 0)
-    after = _load_election(req, 1)
+def _run_diff(args: argparse.Namespace) -> None:
+    before = _load_election(args.before)
+    after = _load_election(args.after)
     print(render_diff_matrix(before, after))
     return None
 
@@ -357,9 +312,14 @@ _HANDLERS = {
 }
 
 
-def run(req: RunRequest) -> dict | None:
-    """Execute one request and return its JSON payload (None for text output)."""
-    return _HANDLERS[req.subcommand](req)
+def run(args: argparse.Namespace) -> dict | None:
+    """Execute parsed arguments and return the JSON payload (None for text output).
+
+    Call it as ``run(build_parser().parse_args(argv))``; a ``cap`` below 1 is refused.
+    """
+    if args.cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {args.cap}")
+    return _HANDLERS[args.subcommand](args)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +328,16 @@ def run(req: RunRequest) -> dict | None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mwrobust", description=__doc__)
+    # every result prints these keys, and ``run`` checks ``cap``, whatever the subcommand takes
+    parser.set_defaults(rule=None, k=None, op=None, method=None, cap=DEFAULT_CAP)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, op=False, budget=False, required_budget=False):
         p.add_argument("election", help="election file ('-' for stdin)")
-        p.add_argument("--rule", choices=RULE_PRESETS, required=True)
+        p.add_argument("--rule", choices=tuple(PRESETS), required=True)
         p.add_argument("--k", type=int, required=True, help="committee size")
-        p.add_argument("--cap", type=int, help="bound on enumerated committees, and on oracle bundles and elections")
+        cap_help = "bound on enumerated committees, and on oracle bundles and elections"
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
         if op:
             p.add_argument("--op", choices=OP_KINDS, required=True)
         if budget:
@@ -389,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count winner-preserving budget-B perturbations")
     add_common(p, op=True, budget=True, required_budget=True)
-    p.add_argument("--method", choices=("exact", "dp", "oracle"))
+    p.add_argument("--method", choices=("exact", "oracle"))
 
     p = sub.add_parser("level", help="empirical robustness level over all single operations")
     add_common(p, op=True)
@@ -403,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=REDUCE_TARGETS)
     p.add_argument("instance", help="instance file ('-' for stdin)")
     p.add_argument("--op", choices=OP_KINDS, default="add")
-    p.add_argument("--alpha", help="second Thiele weight (thiele target)")
-    p.add_argument("--max-voters", dest="max_voters", type=int)
+    p.add_argument("--alpha", default="1/2", help="second Thiele weight (thiele target)")
+    p.add_argument("--max-voters", dest="max_voters", type=int, default=cons.DEFAULT_MAX_VOTERS)
     p.add_argument("--election-out", dest="election_out")
 
     p = sub.add_parser("diff", help="render the ballot-matrix difference of two election files")
@@ -414,17 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def request_from_args(args: argparse.Namespace) -> RunRequest:
-    """The request for parsed arguments; options not given keep their ``RunRequest`` defaults."""
-    given = {key: value for key, value in vars(args).items() if value is not None}
-    inputs = tuple(given.pop(key) for key in ("election", "instance", "before", "after") if key in given)
-    return RunRequest(inputs=inputs, **given)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = run(request_from_args(args))
+        payload = run(args)
     except CapExceeded as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
         return 3

@@ -722,9 +722,10 @@ def no_cover_rx3c_n2() -> RX3CInstance:
 def shortcut_yes_instance() -> GadgetBundle:
     """Trivial decision gadget with answer "yes": one add flips a zero-approval tie.
 
-    Used in place of a reduction gadget whenever the raw gadget's baseline
-    run already selects ``p`` (which certifies the decision answer without
-    any operations, so any fixed yes-instance is an equivalent output).
+    A caller may use it in place of a greedy reduction gadget whose baseline
+    run already selects ``p`` (``rx3c_to_greedy`` marks those with
+    ``info["shortcut"]``), as that gadget's answer is "yes" without any
+    operations; no function here makes that substitution.
     """
     e = election(2, [[]])
     return GadgetBundle(

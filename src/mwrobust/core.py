@@ -94,12 +94,6 @@ def election(m: int, ballots: Iterable[Iterable[int]], tiebreak: Sequence[int] |
     )
 
 
-def approval_score(e: Election, candidate: int) -> int:
-    """Number of voters approving ``candidate``."""
-    _check_candidate(e, candidate)
-    return approval_scores(e)[candidate]
-
-
 def approval_scores(e: Election) -> list[int]:
     scores = [0] * e.m
     for ballot, count in e.groups.items():
@@ -108,16 +102,8 @@ def approval_scores(e: Election) -> list[int]:
     return scores
 
 
-def sav_score(e: Election, candidate: int) -> Fraction:
-    """Satisfaction score: each approver contributes 1/|ballot|.
-
-    Voters with empty ballots contribute nothing to anyone.
-    """
-    _check_candidate(e, candidate)
-    return sav_scores(e)[candidate]
-
-
 def sav_scores(e: Election) -> list[Fraction]:
+    """Satisfaction scores: each approver contributes 1/|ballot|; empty ballots contribute nothing."""
     scores, scale = _scaled_sav_scores(e)
     return [Fraction(s, scale) for s in scores]
 

@@ -257,16 +257,16 @@ def count_unchanged(
 ) -> tuple[CountOutcome, str, str]:
     """Unchanged budget-B bundles of ``e``, as ``(outcome, method, provenance)``.
 
-    ``method`` is ``"exact"`` or its alias ``"dp"`` (the AV counting DP, AV
-    only), ``"oracle"`` (enumeration, any rule) or ``None`` for ``"exact"``.
+    ``method`` is ``"exact"`` (the AV counting DP, AV only), ``"oracle"``
+    (enumeration, any rule) or ``None`` for ``"exact"``.
     ``outcome.probability`` is the chance that a uniformly random bundle
     leaves the winner set unchanged.
     """
     method = method or "exact"
-    if method in ("exact", "dp"):
+    if method == "exact":
         if rule.kind != "av":
             raise ValueError("exact counting covers approval voting only; use method 'oracle'")
         return av_count_unchanged(e, k, kind, budget), method, "counting-dp"
     if method != "oracle":
-        raise ValueError(f"unknown counting method {method!r}; expected 'exact', 'dp' or 'oracle'")
+        raise ValueError(f"unknown counting method {method!r}; expected 'exact' or 'oracle'")
     return oracle_count_unchanged(e, k, rule, kind, budget, cap), method, "brute-force-enumeration"

@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import CapExceeded, Committee, Election, _scaled_sav_scores, approval_scores
 
@@ -23,12 +23,15 @@ DEFAULT_CAP = 10**6
 class ThieleVector:
     """Weight vector ``omega``; a voter's j-th approved committee member is worth ``weights[j-1]``.
 
+    Each weight may be given as anything ``Fraction`` accepts, such as ``1`` or ``"1/2"``.
+
     ``integer_weights``, derived and not a field, is ``weights`` times the lcm of their denominators.
     """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         if not self.weights:
             raise ValueError("weight vector must be nonempty")
         if any(w < 0 for w in self.weights):
@@ -59,10 +62,6 @@ class ThieleVector:
         return all(w[i] >= w[i + 1] for i in range(1, len(w) - 1))
 
 
-def thiele_vector(weights: Iterable) -> ThieleVector:
-    return ThieleVector(tuple(Fraction(w) for w in weights))
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     """A named rule: ``av``, ``sav``, ``thiele``, ``greedy`` or ``phragmen``.
@@ -86,28 +85,25 @@ class RuleSpec:
         elif self.omega is not None:
             raise ValueError(f"rule {self.kind!r} takes no weight vector")
 
-    @property
-    def is_resolute(self) -> bool:
-        return self.kind in ("greedy", "phragmen")
+
+#: Each preset name (the CLI's ``--rule`` choices) and its rule kind and weight-vector family.
+PRESETS = {
+    "av": ("av", None),
+    "sav": ("sav", None),
+    "cc": ("thiele", ThieleVector.cc),
+    "pav": ("thiele", ThieleVector.pav),
+    "greedy-cc": ("greedy", ThieleVector.cc),
+    "greedy-pav": ("greedy", ThieleVector.pav),
+    "phragmen": ("phragmen", None),
+}
 
 
 def preset_rule(name: str, k: int) -> RuleSpec:
-    """Build a rule from a CLI-style preset name, sizing weight vectors to ``k``."""
-    if name == "av":
-        return RuleSpec("av")
-    if name == "sav":
-        return RuleSpec("sav")
-    if name == "cc":
-        return RuleSpec("thiele", ThieleVector.cc(k))
-    if name == "pav":
-        return RuleSpec("thiele", ThieleVector.pav(k))
-    if name == "greedy-cc":
-        return RuleSpec("greedy", ThieleVector.cc(k))
-    if name == "greedy-pav":
-        return RuleSpec("greedy", ThieleVector.pav(k))
-    if name == "phragmen":
-        return RuleSpec("phragmen")
-    raise ValueError(f"unknown rule preset {name!r}")
+    """Build a rule from a ``PRESETS`` name, sizing weight vectors to ``k``."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown rule preset {name!r}")
+    kind, family = PRESETS[name]
+    return RuleSpec(kind, family(k) if family else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,29 @@
 """The command-line interface: file formats, JSON contracts, exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 import tracemalloc
 
 import pytest
 
 from mwrobust import (
+    DEFAULT_MAX_VOTERS,
     covered_x3c_example,
     election,
+    rx3c_to_phragmen,
     serialize_graph,
     serialize_x3c,
     triple_cover_rx3c,
     BipartiteGraph,
     ThieleVector,
 )
+from mwrobust import cli, rules
 from mwrobust.cli import (
     INLINE_VOTER_LIMIT,
-    RunRequest,
     _int_json,
     _jsonable,
+    build_parser,
     main,
     parse_election,
     run,
@@ -213,6 +217,19 @@ class TestRadius:
         assert err["exit_code"] == 2
         assert "budget" in err["error"]
 
+    @pytest.mark.parametrize("budget", ([], ["--budget", "1"]), ids=("no-budget", "budget"))
+    def test_impossible(self, capsys, tmp_path, budget):
+        # the only voter approves everything: no add is feasible, so no sequence changes the winners
+        path = tmp_path / "full.elec"
+        path.write_text("m 2 n 1\n0: 0 1\n")
+        code, payload, _ = invoke(capsys, "radius", str(path), "--rule", "av", "--k", "1", "--op", "add", *budget)
+        assert code == 0
+        assert payload["radius"] == {"outcome": "impossible"}
+        if budget:
+            assert payload["decision"] is False
+        else:
+            assert "decision" not in payload
+
     def test_no_exact_algorithm_for_greedy(self, capsys, gap_path):
         code, _, err = invoke(
             capsys,
@@ -312,6 +329,26 @@ class TestWitness:
         assert "election" not in payload
         assert parse_election(out.read_text()).m == 14
 
+    @pytest.mark.parametrize("argv", (
+        ["witness", "--which", "sav-add", "--k", "2"],
+        ["reduce", "greedy-cc", "INSTANCE"],
+    ), ids=("witness", "reduce"))
+    def test_inline_limit_needs_election_out(self, capsys, tmp_path, monkeypatch, argv):
+        inst = tmp_path / "triple.x3c"
+        inst.write_text(serialize_x3c(triple_cover_rx3c(1)))
+        argv = [str(inst) if arg == "INSTANCE" else arg for arg in argv]
+        code, payload, _ = invoke(capsys, *argv)
+        assert code == 0 and 1 < payload["voters"] <= INLINE_VOTER_LIMIT
+        inline = payload["election"]
+        monkeypatch.setattr(cli, "INLINE_VOTER_LIMIT", 1)
+        code, payload, err = invoke(capsys, *argv)
+        assert code == 2 and payload == ""
+        assert err["exit_code"] == 2 and "--election-out" in err["error"]
+        out = tmp_path / "gadget.elec"
+        code, payload, _ = invoke(capsys, *argv, "--election-out", str(out))
+        assert code == 0 and "election" not in payload
+        assert out.read_text() == inline
+
 
 class TestReduce:
     def test_thiele(self, capsys, tmp_path):
@@ -332,6 +369,19 @@ class TestReduce:
         assert payload["voters"] == 151
         assert payload["k"] == 4
         assert payload["info"]["variant"] == "cc"
+
+    def test_phragmen(self, capsys, tmp_path):
+        inst = tmp_path / "triple.x3c"
+        inst.write_text(serialize_x3c(triple_cover_rx3c(1)))
+        code, payload, _ = invoke(capsys, "reduce", "phragmen", str(inst))
+        assert code == 0
+        bundle = rx3c_to_phragmen(triple_cover_rx3c(1))
+        assert payload["target"] == "phragmen"
+        assert (payload["k"], payload["op"], payload["budget"]) == (bundle.k, bundle.op_kind, bundle.budget)
+        assert payload["labels"] == list(bundle.labels)
+        assert payload["voter_groups"] == [list(group) for group in bundle.voter_groups]
+        assert payload["info"] == _jsonable(bundle.info)
+        assert parse_election(payload["election"]) == bundle.election
 
     def test_sav_count(self, capsys, tmp_path):
         graph = tmp_path / "cycle.graph"
@@ -430,19 +480,19 @@ class TestExitCodes:
         assert err["error"] == "visiting 22 elections exceeds cap 21"
 
     def test_cap_env_var(self, capsys, small_path, monkeypatch):
+        # only --cap bounds: the environment has no say
         monkeypatch.setenv("MWROBUST_CAP", "1")
-        code, _, err = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1")
-        assert code == 3
-        monkeypatch.delenv("MWROBUST_CAP")
         code, payload, _ = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1")
-        assert code == 0
+        assert code == 0 and payload["winners"]["count"] == 2
+        code, _, err = invoke(capsys, "winners", small_path, "--rule", "pav", "--k", "1", "--cap", "1")
+        assert code == 3
 
     def test_cap_env_var_not_an_integer(self, capsys, small_path, monkeypatch):
         monkeypatch.setenv("MWROBUST_CAP", "abc")
-        code, _, err = invoke(capsys, "winners", small_path, "--rule", "av", "--k", "1")
-        assert code == 2
-        assert err["exit_code"] == 2
-        assert "MWROBUST_CAP" in err["error"]
+        code, _, _ = invoke(capsys, "winners", small_path, "--rule", "av", "--k", "1")
+        assert code == 0
+        code, _, _ = invoke(capsys, "diff", small_path, small_path)
+        assert code == 0
 
     @pytest.mark.parametrize("cap", ("0", "-5"))
     def test_cap_not_positive(self, capsys, small_path, cap):
@@ -471,16 +521,35 @@ class TestExitCodes:
 
 class TestRunRequests:
     def test_programmatic_use(self, small_path):
-        req = RunRequest(subcommand="winners", inputs=(small_path,), rule="av", k=1)
-        payload = run(req)
+        payload = run(build_parser().parse_args(["winners", small_path, "--rule", "av", "--k", "1"]))
         assert payload["winners"]["pool"] == [0, 2]
 
     def test_diff_returns_none(self, tmp_path, capsys):
         path = tmp_path / "e.elec"
         path.write_text("m 2 n 1\n0: 0\n")
-        req = RunRequest(subcommand="diff", inputs=(str(path), str(path)))
-        assert run(req) is None
+        assert run(build_parser().parse_args(["diff", str(path), str(path)])) is None
         capsys.readouterr()
+
+    def test_parser_carries_every_default(self, small_path):
+        args = build_parser().parse_args(["winners", small_path, "--rule", "av", "--k", "1"])
+        assert (args.op, args.method, args.cap) == (None, None, rules.DEFAULT_CAP)
+        args = build_parser().parse_args(["reduce", "thiele", small_path])
+        assert (args.rule, args.k, args.op, args.alpha, args.max_voters, args.election_out) == (
+            None, None, "add", "1/2", DEFAULT_MAX_VOTERS, None
+        )
+        args = build_parser().parse_args(["diff", small_path, small_path])
+        assert (args.rule, args.k, args.op, args.method, args.cap) == (None, None, None, None, rules.DEFAULT_CAP)
+
+    def test_cap_checked_by_run(self, small_path):
+        args = build_parser().parse_args(["winners", small_path, "--rule", "av", "--k", "1", "--cap", "0"])
+        with pytest.raises(ValueError, match="cap must be a positive integer"):
+            run(args)
+
+    @pytest.mark.parametrize("command", ("winners", "radius", "count", "level"))
+    def test_rule_choices_are_the_presets(self, command):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        rule = next(a for a in subparsers.choices[command]._actions if a.dest == "rule")
+        assert rule.choices == tuple(rules.PRESETS)
 
 
 PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
@@ -495,7 +564,8 @@ WINNERS_PROVENANCE = {
 }
 EXACT_RADIUS = {"av": ("exact", "av-case-analysis"), "sav": ("exact", "sav-pair-analysis")}
 #: (subcommand, extra arguments, rule preset -> (method, provenance)); a
-#: preset missing from the map must be refused with exit code 2.
+#: preset missing from the map must be refused with exit code 2, and ``None``
+#: in place of the map means the parser refuses the arguments themselves.
 DISPATCH_CASES = (
     ("winners", (), {rule: (None, provenance) for rule, provenance in WINNERS_PROVENANCE.items()}),
     ("radius", (), EXACT_RADIUS),
@@ -503,7 +573,7 @@ DISPATCH_CASES = (
     ("radius", ("--method", "oracle", "--budget", "3"), dict.fromkeys(PRESETS, ("oracle", "bfs-oracle"))),
     ("count", (), {"av": ("exact", "counting-dp")}),
     ("count", ("--method", "exact"), {"av": ("exact", "counting-dp")}),
-    ("count", ("--method", "dp"), {"av": ("dp", "counting-dp")}),
+    ("count", ("--method", "dp"), None),
     ("count", ("--method", "oracle"), dict.fromkeys(PRESETS, ("oracle", "brute-force-enumeration"))),
 )
 
@@ -523,6 +593,12 @@ class TestDispatch:
             argv += ["--op", "add"]
         if command == "count":
             argv += ["--budget", "1"]
+        if expected is None:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *extra])
+            assert exc.value.code == 2
+            assert "invalid choice: 'dp'" in capsys.readouterr().err
+            return
         code, payload, err = invoke(capsys, *argv, *extra)
         if rule not in expected:
             assert code == 2

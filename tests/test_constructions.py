@@ -238,6 +238,11 @@ class TestX3CToThiele:
         with pytest.raises(ValueError):
             x3c_to_thiele(inst, Fraction(-1, 2), "add")
 
+    def test_fewer_sets_than_cover_slots(self):
+        inst = X3CInstance(6, (frozenset({0, 1, 2}),))  # a cover of 6 elements needs 2 sets
+        with pytest.raises(ValueError, match="fewer sets than cover slots"):
+            x3c_to_thiele(inst, Fraction(1, 2), "add")
+
     def test_voter_limit(self):
         inst = covered_x3c_example()
         assert x3c_to_thiele(inst, Fraction(1, 2), "swap", max_voters=104).election.n == 104

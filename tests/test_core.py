@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mwrobust import (
-    approval_score,
     approval_scores,
     committee_score,
     election,
     render_diff_matrix,
-    sav_score,
     sav_scores,
 )
 from mwrobust.rules import ThieleVector
@@ -57,22 +55,21 @@ class TestScores:
     def test_approval_scores(self):
         e = election(3, [[0], [0]])
         assert approval_scores(e) == [2, 0, 0]
-        assert approval_score(e, 0) == 2
 
     def test_sav_splits_each_ballot_equally(self):
         e = election(3, [[0, 1], [0], []])
         assert sav_scores(e) == [Fraction(3, 2), Fraction(1, 2), Fraction(0)]
-        assert sav_score(e, 0) == Fraction(3, 2)
 
     def test_empty_ballot_contributes_nothing(self):
         assert sav_scores(election(2, [[]])) == [Fraction(0), Fraction(0)]
 
     def test_candidate_range_checked(self):
+        # scores are read by list index; committee_score refuses what would wrap around or overrun
         e = election(2, [[0]])
         with pytest.raises(ValueError):
-            approval_score(e, 2)
+            committee_score(e, "av", (2,))
         with pytest.raises(ValueError):
-            sav_score(e, -1)
+            committee_score(e, "sav", (-1,))
 
 
 class TestCommitteeScore:
@@ -101,7 +98,7 @@ class TestCommitteeScore:
         for _ in range(50):
             e = random_election(rng)
             committee = tuple(sorted(rng.sample(range(e.m), rng.randint(1, e.m))))
-            assert committee_score(e, "av", committee) == sum(approval_score(e, c) for c in committee)
+            assert committee_score(e, "av", committee) == sum(approval_scores(e)[c] for c in committee)
 
     def test_committee_members_validated(self):
         e = election(2, [[0]])

@@ -93,8 +93,8 @@ class TestStateInternals:
     def test_probability(self):
         e = election(3, [[0], [0]])
         rule = preset_rule("av", 1)
-        assert count_unchanged(e, 1, rule, "add", 1, method="dp")[0].probability == Fraction(1)
-        assert count_unchanged(e, 1, rule, "add", 2, method="dp")[0].probability == Fraction(4, 6)
+        assert count_unchanged(e, 1, rule, "add", 1, method="exact")[0].probability == Fraction(1)
+        assert count_unchanged(e, 1, rule, "add", 2, method="exact")[0].probability == Fraction(4, 6)
 
     def test_probability_oracle_matches(self):
         e = election(3, [[0], [0]])
@@ -104,7 +104,12 @@ class TestStateInternals:
     def test_dp_requires_av(self):
         e = election(3, [[0], [0]])
         with pytest.raises(ValueError):
-            count_unchanged(e, 1, preset_rule("sav", 1), "add", 1, method="dp")
+            count_unchanged(e, 1, preset_rule("sav", 1), "add", 1, method="exact")
+
+    def test_dp_is_not_a_method_name(self):
+        e = election(3, [[0], [0]])
+        with pytest.raises(ValueError, match="expected 'exact' or 'oracle'"):
+            count_unchanged(e, 1, preset_rule("av", 1), "add", 1, method="dp")
 
     def test_probability_bad_method(self):
         e = election(3, [[0], [0]])
@@ -161,6 +166,12 @@ class TestOracleCap:
             count_unchanged(self.WIDE, 2, rule, "add", 20, method="oracle", cap=1000)
         with pytest.raises(CapExceeded):
             oracle_count_unchanged(self.WIDE, 2, rule, "add", 20)  # the default cap, 10^6, is exceeded too
+
+    @pytest.mark.parametrize("budget", (-1, 5))
+    def test_budget_outside_the_cells_refused(self, budget):
+        e = election(3, [[0], [0]])  # 4 addable cells
+        with pytest.raises(ValueError, match=rf"budget {budget} not in \[0, 4\]"):
+            oracle_count_unchanged(e, 1, preset_rule("av", 1), "add", budget)
 
     def test_cap_bounds_the_bundles_inclusively(self):
         e = election(3, [[0], [0]])  # 4 addable cells, C(4, 2) = 6 bundles

@@ -18,7 +18,7 @@ from mwrobust import (
     ThieleVector,
     apply,
     apply_sequence,
-    approval_score,
+    approval_scores,
     committee_score,
     displacement,
     election,
@@ -29,7 +29,7 @@ from mwrobust import (
     oracle_radius,
     preset_rule,
     render_diff_matrix,
-    sav_score,
+    sav_scores,
     winner_set,
 )
 from mwrobust import perturb
@@ -292,8 +292,8 @@ class TestPerVoterDefinitions:
         for _ in range(200):
             e = duplicated_election(rng, with_tiebreak=False)
             for c in range(e.m):
-                assert approval_score(e, c) == sum(1 for ballot in e.ballots if c in ballot)
-                assert sav_score(e, c) == sum(
+                assert approval_scores(e)[c] == sum(1 for ballot in e.ballots if c in ballot)
+                assert sav_scores(e)[c] == sum(
                     (Fraction(1, len(ballot)) for ballot in e.ballots if c in ballot), Fraction(0)
                 )
             committee = rng.sample(range(e.m), rng.randint(1, e.m))

@@ -25,7 +25,6 @@ from mwrobust import (
     phragmen_trace,
     rx3c_to_greedy,
     rx3c_to_phragmen,
-    thiele_vector,
     triple_cover_rx3c,
     winners_thiele,
 )
@@ -149,7 +148,7 @@ UNEVEN = (
 
 class TestThieleWeights:
     def test_integer_weights_scale_by_the_full_lcm(self):
-        omega = thiele_vector((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
+        omega = ThieleVector((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
         assert omega.integer_weights == (42, 21, 14, 6)
         assert ThieleVector.cc(3).integer_weights == (1, 0, 0)
         assert ThieleVector.pav(4).integer_weights == (12, 6, 4, 3)
@@ -159,7 +158,7 @@ class TestThieleWeights:
         rng = random.Random(seed)
         for _ in range(300):
             weights = tuple(map(Fraction, rng.choice(UNEVEN)))
-            omega = thiele_vector(weights)
+            omega = ThieleVector(weights)
             e = random_profile(rng, (2, 6), (0, 10))
             for k in range(1, min(e.m, 3) + 1):
                 assert winners_thiele(e, k, omega).committee_list == fraction_thiele_winners(e, k, weights), (e, k)
@@ -171,7 +170,7 @@ class TestThieleWeights:
         seeded = 0
         for _ in range(300):
             weights = tuple(map(Fraction, rng.choice(UNEVEN)))
-            omega = thiele_vector(weights)
+            omega = ThieleVector(weights)
             # up to 30 voters over at most 6 ballot types: most groups hold several voters
             e = random_profile(rng, (2, len(weights)), (0, 30))
             for k in range(1, e.m + 1):
@@ -189,10 +188,10 @@ class TestThieleWeights:
             assert greedy_thiele(e, k, omega) == fraction_greedy(e, k, omega.weights), k
 
     def test_dataclass_behaviour_unaffected(self):
-        omega = thiele_vector((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
+        omega = ThieleVector((1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
         twin = ThieleVector(tuple(omega.weights))
         assert omega == twin and hash(omega) == hash(twin)
-        assert omega != ThieleVector.pav(4) and omega != thiele_vector((2, 1, Fraction(2, 3), Fraction(2, 7)))
+        assert omega != ThieleVector.pav(4) and omega != ThieleVector((2, 1, Fraction(2, 3), Fraction(2, 7)))
         assert repr(omega) == f"ThieleVector(weights={omega.weights!r})"
         assert [f.name for f in dataclasses.fields(omega)] == ["weights"]
         assert dataclasses.asdict(omega) == {"weights": omega.weights}

@@ -152,3 +152,7 @@ class TestLevel:
         e = election(2, [[0, 1]])
         assert level_argmax(e, 1, preset_rule("av", 1), "add") == (0, None)
         assert level_argmax(e, 1, preset_rule("av", 1), "add")[0] == 0
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown operation kind 'flip'"):
+            level_argmax(election(2, [[0]]), 1, preset_rule("av", 1), "flip")

@@ -136,6 +136,14 @@ class TestOracle:
         rule = preset_rule("av", 1)
         assert oracle_radius(e, 1, rule, "add", max_budget=0) == ExceedsBound(0)
 
+    def test_refuses_unknown_kind_and_negative_budget(self):
+        e = election(2, [[0]])
+        rule = preset_rule("av", 1)
+        with pytest.raises(ValueError, match="unknown operation kind 'flip'"):
+            oracle_radius(e, 1, rule, "flip", max_budget=1)
+        with pytest.raises(ValueError, match="max_budget must be nonnegative"):
+            oracle_radius(e, 1, rule, "add", max_budget=-1)
+
     def test_exhaustion_reports_impossible(self):
         e = election(2, [[0, 1], [0, 1]])
         rule = preset_rule("av", 1)

@@ -20,7 +20,6 @@ from mwrobust import (
     phragmen,
     phragmen_trace,
     preset_rule,
-    thiele_vector,
     winner_set,
     winner_sets_equal,
     winners_separable,
@@ -40,22 +39,35 @@ class TestThieleVector:
         assert ThieleVector.cc(3).is_unit_decreasing
         assert ThieleVector.pav(4).is_unit_decreasing
         assert not ThieleVector.av(3).is_unit_decreasing  # second weight not below 1
-        assert not thiele_vector((1, Fraction(1, 2), Fraction(2, 3))).is_unit_decreasing
-        assert not thiele_vector((Fraction(1, 2),)).is_unit_decreasing
-        assert thiele_vector((1,)).is_unit_decreasing
+        assert not ThieleVector((1, Fraction(1, 2), Fraction(2, 3))).is_unit_decreasing
+        assert not ThieleVector((Fraction(1, 2),)).is_unit_decreasing
+        assert ThieleVector((1,)).is_unit_decreasing
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            thiele_vector(())
+            ThieleVector(())
         with pytest.raises(ValueError):
-            thiele_vector((1, Fraction(-1, 2)))
+            ThieleVector((1, Fraction(-1, 2)))
+        with pytest.raises(ValueError):
+            ThieleVector(["x"])
+
+    def test_weights_converted_to_fractions(self):
+        omega = ThieleVector([1, "1/2"])
+        assert omega == ThieleVector.pav(2) and hash(omega) == hash(ThieleVector.pav(2))
+        assert all(type(w) is Fraction for w in omega.weights)
+        assert omega.integer_weights == (2, 1)
 
 
 class TestRuleSpec:
     @pytest.mark.parametrize("name", ["av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen"])
     def test_presets_build(self, name):
         rule = preset_rule(name, 3)
-        assert rule.is_resolute == (name in ("greedy-cc", "greedy-pav", "phragmen"))
+        family = name.removeprefix("greedy-")
+        if family in ("cc", "pav"):
+            assert rule.kind == ("greedy" if name.startswith("greedy-") else "thiele")
+            assert rule.omega == getattr(ThieleVector, family)(3)
+        else:
+            assert (rule.kind, rule.omega) == (name, None)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -84,6 +96,12 @@ class TestWinnerSets:
     def test_explicit_normalises(self):
         ws = ExplicitWinners(((1, 0), (0, 1), (2, 0)))
         assert ws.committee_list == ((0, 1), (0, 2))
+
+    def test_explicit_committees_bounded_by_cap(self):
+        ws = ExplicitWinners(((0, 1), (0, 2), (1, 2)))
+        assert ws.committees(cap=3) == ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(CapExceeded, match="3 committees exceed cap 2"):
+            ws.committees(cap=2)
 
     def test_explicit_nonempty(self):
         with pytest.raises(ValueError):
