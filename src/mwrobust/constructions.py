@@ -718,24 +718,3 @@ def no_cover_rx3c_n2() -> RX3CInstance:
     sets = tuple(frozenset({i % 6, (i + 1) % 6, (i + 3) % 6}) for i in range(6))
     return RX3CInstance(6, sets)
 
-
-def shortcut_yes_instance() -> GadgetBundle:
-    """Trivial decision gadget with answer "yes": one add flips a zero-approval tie.
-
-    A caller may use it in place of a greedy reduction gadget whose baseline
-    run already selects ``p`` (``rx3c_to_greedy`` marks those with
-    ``info["shortcut"]``), as that gadget's answer is "yes" without any
-    operations; no function here makes that substitution.
-    """
-    e = election(2, [[]])
-    return GadgetBundle(
-        election=e,
-        k=1,
-        op_kind="add",
-        budget=1,
-        note="adding one approval for the low-priority candidate changes any sensible rule's committee",
-        labels=("a", "b"),
-        voter_groups=(("empty", 1),),
-        op=Add(0, 1),
-        info={"always_changes": True},
-    )

@@ -45,6 +45,30 @@ class ExceedsBound:
 RadiusOutcome = Finite | Impossible | ExceedsBound
 
 
+def _tied_radius(e: Election, pool, scores, kind: str) -> Finite | Impossible | None:
+    """The radius of AV or SAV when ``pool``, the candidates at the k-th score, is tied across the boundary.
+
+    One operation on a tied candidate splits the pool, except when the pool
+    is saturated.  Returns ``None`` only for adds on a pool that every
+    ballot approves, where each rule has its own escape.
+    """
+    if kind == "swap":
+        # a swap never changes a ballot's size, so moving one approval onto (or off) a
+        # tied candidate splits the pool whenever any swap exists: some ballot is partial
+        return Finite(1) if any(0 < len(ballot) < e.m for ballot in e.groups) else Impossible()
+    if kind == "add":
+        if any(c not in ballot for ballot in e.groups for c in pool):
+            return Finite(1)  # adding a tied candidate to that vote splits the pool
+        return None
+    if any(scores[c] > 0 for c in pool):
+        return Finite(1)  # removing an approval of a tied candidate drops it out of the pool
+    # The pool consists of zero-score candidates (so all positive candidates
+    # are forced).  Score shifts among positive candidates never change the
+    # forced/pool split; only erasing some positive candidate entirely does.
+    positive = [a for a in approval_scores(e) if a > 0]  # approved exactly when SAV-positive
+    return Finite(min(positive)) if positive else Impossible()
+
+
 # ---------------------------------------------------------------------------
 # Approval voting
 
@@ -70,35 +94,15 @@ def av_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
     scores = approval_scores(e)
     z = sorted(scores, reverse=True)
     zk, zk1 = z[k - 1], z[k]
-    if kind == "add":
-        if zk > zk1:
-            return Finite(zk - zk1)
-        n = sum(e.groups.values())
-        if zk < n:
-            return Finite(1)
-        # boundary tied at n: every add-reachable change must lift some
-        # below-n candidate all the way to n
-        below = [s for s in z if s < n]
-        if not below:
-            return Impossible()
-        return Finite(n - max(below))
-    if kind == "remove":
-        if zk > zk1:
-            return Finite(zk - zk1)
-        if zk > 0:
-            return Finite(1)
-        # boundary tied at 0: the family only changes when some positive
-        # candidate is erased entirely
-        positive = [s for s in z if s > 0]
-        if not positive:
-            return Impossible()
-        return Finite(min(positive))
-    # swap
     if zk > zk1:
-        return Finite((zk - zk1 + 1) // 2)
-    if any(0 < len(ballot) < e.m for ballot in e.groups):
-        return Finite(1)
-    return Impossible()  # every ballot is empty or complete: no swap exists
+        return Finite((zk - zk1 + 1) // 2 if kind == "swap" else zk - zk1)
+    tied = _tied_radius(e, {c for c in range(e.m) if scores[c] == zk}, scores, kind)
+    if tied is not None:
+        return tied
+    # adds with the boundary tied at n (= zk): every add-reachable change
+    # must lift some below-n candidate all the way to n
+    below = [s for s in z if s < zk]
+    return Finite(zk - max(below)) if below else Impossible()
 
 
 # ---------------------------------------------------------------------------
@@ -110,66 +114,46 @@ def sav_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
 
     If the election has several winning committees, the k-th score is tied
     and a single operation touching a tied candidate already splits the tie
-    (with two exceptions handled below: a tied pool approved by everybody,
-    and a tied pool at score zero).  Otherwise there is a unique winning
-    committee ``X``, and the family changes exactly when some outsider ``y``
-    catches up with some ``x in X``; for each pair the cheapest schedule of
-    operations is greedy in the per-vote score transfer, and the radius is
-    the best pair.
+    (``_tied_radius``; the exceptions are a tied pool approved by everybody,
+    handled below, and a tied pool at score zero).  Otherwise there is a
+    unique winning committee ``X``, and the family changes exactly when some
+    outsider ``y`` catches up with some ``x in X``; for each pair the
+    cheapest schedule of operations is greedy in the per-vote score
+    transfer, and the radius is the best pair.
     """
     _check_radius_args(e, k, kind)
     ws = winners_separable(e, k, "sav")
     scores = sav_scores(e)
     if ws.slots < len(ws.pool):
-        return _sav_radius_irresolute(e, ws, scores, kind)
+        tied = _tied_radius(e, ws.pool, scores, kind)
+        if tied is not None:
+            return tied
+        # Saturated pool: every tied candidate sits in every ballot, so no
+        # add ever breaks their tie; the family changes only once some
+        # outsider is approved in every vote as well.  That is the same
+        # pair-greedy as in the resolute case, with any pool member as x.
+        if len(ws.pool) == e.m:
+            return Impossible()
+        return _min_pair_cost(e, "add", scores, [(min(ws.pool), y) for y in range(e.m) if y not in ws.pool])
     winners = sorted(ws.forced | ws.pool)
     losers = [c for c in range(e.m) if c not in ws.forced and c not in ws.pool]
     return _min_pair_cost(e, kind, scores, [(x, y) for x in winners for y in losers])
 
 
-def _sav_radius_irresolute(e: Election, ws, scores, kind: str) -> Finite | Impossible:
-    pool = sorted(ws.pool)
-    if kind == "swap":
-        # a swap never changes a ballot's size, so moving one approval onto
-        # (or off) a tied candidate splits the pool whenever any swap exists
-        if any(0 < len(ballot) < e.m for ballot in e.groups):
-            return Finite(1)
-        return Impossible()
-    if kind == "add":
-        if any(c not in ballot for ballot in e.groups for c in pool):
-            return Finite(1)  # adding a tied candidate to that vote splits the pool
-        # Saturated pool: every tied candidate sits in every ballot, so no
-        # add ever breaks their tie; the family changes only once some
-        # outsider is approved in every vote as well.  That is the same
-        # pair-greedy as in the resolute case, with any pool member as x.
-        if not pool or len(pool) == e.m:
-            return Impossible()
-        return _min_pair_cost(e, "add", scores, [(pool[0], y) for y in range(e.m) if y not in ws.pool])
-    # remove
-    if any(scores[c] > 0 for c in pool):
-        return Finite(1)  # removing an approval of a tied candidate drops it out of the pool
-    # The pool consists of zero-score candidates (so all positive candidates
-    # are forced).  Score shifts among positive candidates never change the
-    # forced/pool split; only erasing some positive candidate entirely does.
-    positive = [a for a in approval_scores(e) if a > 0]  # approved exactly when SAV-positive
-    if not positive:
-        return Impossible()
-    return Finite(min(positive))
-
-
-def _min_pair_cost(e: Election, kind: str, scores, pairs) -> Finite | Impossible:
+def _min_pair_cost(e: Election, kind: str, scores, pairs) -> Finite:
     """The cheapest pair of ``pairs``: fewest ops of ``kind`` making some y's SAV score reach its x's."""
-    costs = [_sav_pair_cost(e, kind, x, y, scores[x] - scores[y]) for x, y in pairs]
-    costs = [c for c in costs if c is not None]
-    return Finite(min(costs)) if costs else Impossible()
+    return Finite(min(_sav_pair_cost(e, kind, x, y, scores[x] - scores[y]) for x, y in pairs))
 
 
-def _sav_pair_cost(e: Election, kind: str, x: int, y: int, delta: Fraction) -> int | None:
-    """Fewest ops of ``kind`` making y's SAV score reach x's (``None`` if unreachable).
+def _sav_pair_cost(e: Election, kind: str, x: int, y: int, delta: Fraction) -> int:
+    """Fewest ops of ``kind`` making y's SAV score reach x's.
 
     An operation's effect on the pair depends only on its vote's size ``a``
     and on whether the vote approves x and y, so the votes are counted by
-    ``(a, x in vote, y in vote)`` once.
+    ``(a, x in vote, y in vote)`` once.  Some count always suffices: removing
+    x from every vote, or adding y to (or swapping x for y in) every vote
+    with x but not y, closes the gap, since those votes hold at least
+    ``delta`` of x's score.
     """
     if delta <= 0:
         return 0
@@ -196,7 +180,7 @@ def _sav_pair_cost(e: Election, kind: str, x: int, y: int, delta: Fraction) -> i
     return _greedy_cover(gains, delta)
 
 
-def _greedy_cover(gains: list[tuple[Fraction, int]], delta: Fraction) -> int | None:
+def _greedy_cover(gains: list[tuple[Fraction, int]], delta: Fraction) -> int:
     """Fewest summands reaching ``delta``, each ``(gain, count)`` offering its gain up to count times."""
     ops = 0
     for gain, count in sorted(gains, key=lambda pair: pair[0], reverse=True):
@@ -205,10 +189,10 @@ def _greedy_cover(gains: list[tuple[Fraction, int]], delta: Fraction) -> int | N
             return ops - (-delta // gain)  # ceil(delta / gain) more
         delta -= total
         ops += count
-    return None
+    raise ValueError(f"every gain together does not reach {delta}")
 
 
-def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -> int | None:
+def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -> int:
     """Fewest removals making y's score reach x's, from the votes counted by (size, has x, has y).
 
     Useful removals are: removing x from a vote also approving y (gap
@@ -233,11 +217,11 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
     xonly_prefix = [Fraction(0)]
     xonly_gains = chain.from_iterable(repeat(Fraction(1, a), c) for a, c in sorted(x_only.items()))
 
-    best: int | None = None
+    best = sum(both.values()) + sum(x_only.values())  # removing x from every vote closes the gap
     left = delta  # the gap after converting the first b_both both-votes
     buckets = _dig_buckets(chains)
     for b_both in range(sum(both.values()) + 1):
-        if best is not None and b_both >= best:
+        if b_both >= best:
             break
         if b_both:
             a = next(both_sizes)
@@ -248,16 +232,15 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
         reach = left - buckets[-1][3] if buckets else left  # the gap left once every y-vote is dug out
         for b_x, removed in enumerate(_read_sums(xonly_prefix, xonly_gains)):
             base_ops = b_both + b_x
-            if best is not None and base_ops >= best:
+            if base_ops >= best:
                 break
             if removed >= left:
                 best = base_ops
                 break
-            if best is not None and base_ops + 1 >= best:
+            if base_ops + 1 >= best:
                 break  # this b_x needs a dig and every later one costs as much
             if removed >= reach:
-                cost = base_ops + _dig_count(buckets, left - removed)
-                best = cost if best is None else min(best, cost)
+                best = min(best, base_ops + _dig_count(buckets, left - removed))
     return best
 
 

@@ -119,7 +119,6 @@ class ThresholdWinners:
     ``pool`` (candidates exactly at the k-th highest score).
     """
 
-    k: int
     forced: frozenset[int]
     pool: frozenset[int]
     slots: int
@@ -129,8 +128,6 @@ class ThresholdWinners:
             raise ValueError("forced candidates cannot also be in the pool")
         if not 1 <= self.slots <= len(self.pool):
             raise ValueError(f"slots must lie in [1, {len(self.pool)}], got {self.slots}")
-        if len(self.forced) + self.slots != self.k:
-            raise ValueError("forced plus slots must fill the committee exactly")
 
     def count(self) -> int:
         return math.comb(len(self.pool), self.slots)
@@ -206,7 +203,7 @@ def winners_separable(e: Election, k: int, scoring: str) -> ThresholdWinners:
     threshold = sorted(scores, reverse=True)[k - 1]
     forced = frozenset(c for c in range(e.m) if scores[c] > threshold)
     pool = frozenset(c for c in range(e.m) if scores[c] == threshold)
-    return ThresholdWinners(k=k, forced=forced, pool=pool, slots=k - len(forced))
+    return ThresholdWinners(forced=forced, pool=pool, slots=k - len(forced))
 
 
 def winners_thiele(e: Election, k: int, omega: ThieleVector, cap: int = DEFAULT_CAP) -> ExplicitWinners:

@@ -27,7 +27,6 @@ from mwrobust import (
     sav_scores,
     serialize_graph,
     serialize_x3c,
-    shortcut_yes_instance,
     solve_exact_cover,
     thiele_witness,
     triple_cover_rx3c,
@@ -102,6 +101,10 @@ class TestFileFormats:
     def test_graph_round_trip(self):
         g = BipartiteGraph(2, 3, ((0, 0), (0, 2), (1, 1)))
         assert parse_graph(serialize_graph(g)) == g
+
+    def test_graph_skips_blank_and_comment_lines(self):
+        text = "# a graph\n\nleft 2  # two on the left\n   \nright 1\n# edges\nedge 1 0\n"
+        assert parse_graph(text) == BipartiteGraph(2, 1, ((1, 0),))
 
     def test_graph_errors(self):
         with pytest.raises(ValueError):
@@ -309,6 +312,20 @@ class TestGreedyReduction:
             rx3c_to_greedy(triple_cover_rx3c(1), "chamberlin")
 
 
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda kind: x3c_to_thiele(covered_x3c_example(), Fraction(1, 2), kind),
+        lambda kind: rx3c_to_greedy(triple_cover_rx3c(1), "cc", kind=kind),
+        lambda kind: rx3c_to_phragmen(triple_cover_rx3c(1), kind=kind),
+    ),
+    ids=("thiele", "greedy", "phragmen"),
+)
+def test_reductions_refuse_an_unknown_kind(build):
+    with pytest.raises(ValueError, match=r"^unknown operation kind 'flip'$"):
+        build("flip")
+
+
 class TestPhragmenReduction:
     def test_n1_groups(self):
         bundle = rx3c_to_phragmen(triple_cover_rx3c(1))
@@ -398,13 +415,3 @@ class TestMatchingGadget:
         with pytest.raises(ValueError, match="candidates, above the limit of 2000000$"):
             matching_to_sav_counting(BipartiteGraph(24, 24, ()), "remove")
 
-
-class TestShortcut:
-    def test_op_always_changes_the_committee(self):
-        bundle = shortcut_yes_instance()
-        after = apply(bundle.election, bundle.op)
-        for name in ("av", "sav", "pav", "greedy-cc", "phragmen"):
-            rule = preset_rule(name, 1)
-            assert not winner_sets_equal(
-                winner_set(bundle.election, 1, rule), winner_set(after, 1, rule)
-            )

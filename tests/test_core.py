@@ -100,6 +100,12 @@ class TestCommitteeScore:
             committee = tuple(sorted(rng.sample(range(e.m), rng.randint(1, e.m))))
             assert committee_score(e, "av", committee) == sum(approval_scores(e)[c] for c in committee)
 
+    def test_weight_vector_covers_the_committee(self):
+        e = election(3, [[0, 1]])
+        assert committee_score(e, (1, Fraction(1, 2)), (0, 1)) == Fraction(3, 2)
+        with pytest.raises(ValueError, match="^weight vector has 1 entries, committee has 2$"):
+            committee_score(e, (1,), (0, 1))
+
     def test_committee_members_validated(self):
         e = election(2, [[0]])
         with pytest.raises(ValueError):

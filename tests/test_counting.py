@@ -80,6 +80,8 @@ class TestValidation:
         e = election(3, [[0], [0]])
         with pytest.raises(ValueError):
             av_count_unchanged(e, 1, "swap", 1)
+        with pytest.raises(ValueError, match=r"^counting supports kinds \('add', 'remove'\), got 'swap'$"):
+            oracle_count_unchanged(e, 1, preset_rule("av", 1), "swap", 1)
 
     def test_k_range(self):
         e = election(3, [[0], [0]])

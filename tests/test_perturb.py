@@ -106,6 +106,11 @@ class TestFeasibleOperations:
         with pytest.raises(ValueError):
             feasible_operations(election(2, [[0]]), "flip")
 
+    def test_repr_lists_the_operations(self):
+        ops = feasible_operations(election(3, [[1]]), "swap")
+        assert repr(ops) == "_Operations([Swap(voter=0, source=1, target=0), Swap(voter=0, source=1, target=2)])"
+        assert repr(feasible_operations(election(2, []), "add")) == "_Operations([])"
+
 
 class TestDisplacement:
     def test_no_change_is_zero(self):

@@ -212,6 +212,31 @@ class TestAvAgainstOracle:
                                 assert brute == ExceedsBound(4), (e, k, kind)
 
 
+class TestSavAgainstOracle:
+    def test_every_tiny_election(self):
+        """The SAV pair and tie analysis equals a budget-4 search on every election with m <= 4, n <= 3."""
+        from common import all_elections
+
+        budget = 4
+        checked = 0
+        for m in (2, 3, 4):
+            rules = {k: preset_rule("sav", k) for k in range(1, m)}
+            for n in (0, 1, 2, 3):
+                for e in all_elections(m, n):
+                    for k in range(1, m):
+                        for kind in ("add", "remove", "swap"):
+                            exact = sav_radius(e, k, kind)
+                            brute = oracle_radius(e, k, rules[k], kind, max_budget=budget)
+                            if isinstance(exact, Finite) and exact.value <= budget:
+                                assert brute == exact, (e, k, kind)
+                            elif isinstance(exact, Impossible):
+                                assert brute in (Impossible(), ExceedsBound(budget)), (e, k, kind)
+                            else:
+                                assert brute == ExceedsBound(budget), (e, k, kind)
+                            checked += 1
+        assert checked == 43_086
+
+
 def radius_decision(e, k, rule, kind, budget):
     """Whether at most ``budget`` operations of ``kind`` can change the winner set."""
     outcome, _, _ = robustness_radius(e, k, rule, kind, budget=budget)

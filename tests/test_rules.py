@@ -81,15 +81,21 @@ class TestRuleSpec:
         with pytest.raises(ValueError):
             RuleSpec(kind="thiele")
 
+    def test_unknown_kind_and_stray_weights(self):
+        with pytest.raises(ValueError, match="^unknown rule kind 'x'$"):
+            RuleSpec("x")
+        with pytest.raises(ValueError, match="^rule 'av' takes no weight vector$"):
+            RuleSpec("av", ThieleVector.av(2))
+
 
 class TestWinnerSets:
     def test_threshold_count_and_expansion(self):
-        ws = ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
+        ws = ThresholdWinners(forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
         assert ws.count() == 2
         assert ws.committees() == ((0, 1), (0, 2))
 
     def test_expansion_cap(self):
-        ws = ThresholdWinners(k=3, forced=frozenset(), pool=frozenset(range(6)), slots=3)
+        ws = ThresholdWinners(forced=frozenset(), pool=frozenset(range(6)), slots=3)
         with pytest.raises(CapExceeded):
             ws.committees(cap=10)
 
@@ -109,26 +115,26 @@ class TestWinnerSets:
 
     def test_threshold_invariants_enforced(self):
         with pytest.raises(ValueError):
-            ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({0, 1}), slots=1)
+            ThresholdWinners(forced=frozenset({0}), pool=frozenset({0, 1}), slots=1)
         with pytest.raises(ValueError):
-            ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1}), slots=0)
+            ThresholdWinners(forced=frozenset({0}), pool=frozenset({1}), slots=0)
 
 
 class TestWinnerSetsEqual:
     def test_threshold_vs_explicit(self):
-        thr = ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
+        thr = ThresholdWinners(forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
         assert winner_sets_equal(thr, ExplicitWinners(((0, 1), (0, 2))))
         assert not winner_sets_equal(thr, ExplicitWinners(((0, 1),)))
 
     def test_degenerate_threshold_is_one_committee(self):
-        thr = ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1}), slots=1)
+        thr = ThresholdWinners(forced=frozenset({0}), pool=frozenset({1}), slots=1)
         assert winner_sets_equal(thr, ExplicitWinners(((0, 1),)))
 
     def test_distinct_nondegenerate_thresholds_differ(self):
-        a = ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
-        b = ThresholdWinners(k=2, forced=frozenset({1}), pool=frozenset({0, 2}), slots=1)
+        a = ThresholdWinners(forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
+        b = ThresholdWinners(forced=frozenset({1}), pool=frozenset({0, 2}), slots=1)
         assert not winner_sets_equal(a, b)
-        assert winner_sets_equal(a, ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1, 2}), slots=1))
+        assert winner_sets_equal(a, ThresholdWinners(forced=frozenset({0}), pool=frozenset({1, 2}), slots=1))
 
 
 class TestSeparable:
@@ -136,7 +142,7 @@ class TestSeparable:
         # approvals 3, 2, 2, 0
         e = election(4, [[0, 1], [0, 2], [0, 1, 2]])
         ws = winners_separable(e, 2, "av")
-        assert ws == ThresholdWinners(k=2, forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
+        assert ws == ThresholdWinners(forced=frozenset({0}), pool=frozenset({1, 2}), slots=1)
 
     def test_av_resolute_when_gap(self):
         e = election(3, [[0], [0], [1]])
@@ -153,6 +159,10 @@ class TestSeparable:
         e = election(3, [[], []])
         ws = winners_separable(e, 2, "sav")
         assert ws.pool == frozenset({0, 1, 2}) and ws.slots == 2
+
+    def test_scoring_must_be_separable(self):
+        with pytest.raises(ValueError, match="^separable scoring must be 'av' or 'sav', got 'pav'$"):
+            winners_separable(election(2, [[0]]), 1, "pav")
 
     def test_k_bounds(self):
         e = election(2, [[0]])
@@ -181,6 +191,10 @@ class TestThiele:
         e = election(25, [[0]])
         with pytest.raises(CapExceeded):
             winners_thiele(e, 12, ThieleVector.pav(12), cap=1000)
+
+    def test_weight_vector_length_checked(self):
+        with pytest.raises(ValueError, match="^weight vector has 1 entries but k=2$"):
+            winners_thiele(election(3, [[0]]), 2, ThieleVector.cc(1))
 
     def test_av_weights_match_separable(self):
         rng = random.Random(11)

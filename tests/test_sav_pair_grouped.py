@@ -136,6 +136,27 @@ def test_every_pair_cost_matches_the_per_voter_reference():
     assert pairs > 20_000
 
 
+def test_every_pair_cost_is_bounded_by_the_votes_holding_x():
+    """Removing x from every vote, or adding y to (swapping x for y in) every vote with x but not y, closes the gap."""
+    rng = random.Random(8116)
+    pairs = 0
+    for _ in range(600):
+        e = mixed_election(rng)
+        scores = sav_scores(e)
+        for x in range(e.m):
+            holding_x = sum(count for ballot, count in e.groups.items() if x in ballot)
+            for y in range(e.m):
+                delta = scores[x] - scores[y]
+                if delta <= 0:
+                    continue
+                x_not_y = sum(count for ballot, count in e.groups.items() if x in ballot and y not in ballot)
+                assert 1 <= _sav_pair_cost(e, "remove", x, y, delta) <= holding_x, (e, x, y)
+                for kind in ("add", "swap"):
+                    assert 1 <= _sav_pair_cost(e, kind, x, y, delta) <= x_not_y, (e, kind, x, y)
+                pairs += 1
+    assert pairs > 5_000
+
+
 def test_closed_form_dig_count_matches_the_heap():
     rng = random.Random(8109)
     for _ in range(1500):

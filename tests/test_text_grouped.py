@@ -17,7 +17,6 @@ from mwrobust import (
     rx3c_to_phragmen,
     sav_add_witness,
     sav_remove_witness,
-    shortcut_yes_instance,
     thiele_witness,
     triple_cover_rx3c,
     uncoverable_x3c_example,
@@ -191,7 +190,6 @@ def builders():
     graph = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
     yield "sav-add", sav_add_witness(3)
     yield "sav-remove", sav_remove_witness(3)
-    yield "shortcut", shortcut_yes_instance()
     for kind in ("add", "remove", "swap"):
         yield f"thiele-witness-{kind}", thiele_witness(3, kind)
         yield f"x3c-thiele-covered-{kind}", x3c_to_thiele(covered_x3c_example(), Fraction(1, 2), kind)
