@@ -247,17 +247,19 @@ def _check_voter_count(voters: int, max_voters: int, candidates: int = 0) -> Non
             raise ValueError(f"instance would materialise {total} {what}, above the limit of {max_voters}")
 
 
-Block = tuple[list[int], int]  # a ballot and the number of voters casting it
+Block = tuple[str, list[int], int]  # a voter-group label, a ballot and the number of voters casting it
 
 
-def _voters(blocks: Iterable[Block]) -> list[frozenset[int]]:
-    """The ballots of ``blocks`` in order, one voter per count; equal ballots share one frozenset."""
+def _voters(blocks: Iterable[Block]) -> tuple[list[frozenset[int]], tuple[tuple[str, int], ...]]:
+    """The voters of ``blocks``, equal ballots sharing a frozenset, and each label's total in first-seen order."""
     shared: dict[frozenset[int], frozenset[int]] = {}
     voters: list[frozenset[int]] = []
-    for ballot, count in blocks:
+    groups: dict[str, int] = {}
+    for label, ballot, count in blocks:
         ballot = frozenset(ballot)
         voters += [shared.setdefault(ballot, ballot)] * count
-    return voters
+        groups[label] = groups.get(label, 0) + count
+    return voters, tuple(groups.items())
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +341,20 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
         raise ValueError(f"unknown operation kind {kind!r}")
     a = list(range(k))
     b = list(range(k, 2 * k))
-    blocks: list[Block] = [([a[i], b[j]], 1) for i in range(k) for j in range(k)]
+    blocks: list[Block] = [("grid", [a[i], b[j]], 1) for i in range(k) for j in range(k)]
     pivot = len(blocks)
     if kind == "add":
-        blocks.append(([], 1))
+        blocks.append(("pivot", [], 1))
         op: Operation = Add(pivot, a[0])
     elif kind == "remove":
-        blocks.append(([a[0], b[0]], 1))
+        blocks.append(("pivot", [a[0], b[0]], 1))
         op = Remove(pivot, b[0])
     else:
-        blocks.append(([b[0]], 1))
+        blocks.append(("pivot", [b[0]], 1))
         op = Swap(pivot, b[0], a[0])
     tiebreak = b + a  # prefer b-candidates, then a-candidates
-    e = election(2 * k, _voters(blocks), tiebreak=tiebreak)
+    ballots, groups = _voters(blocks)
+    e = election(2 * k, ballots, tiebreak=tiebreak)
     return GadgetBundle(
         election=e,
         k=k,
@@ -359,7 +362,7 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
         budget=1,
         note="one operation moves every Thiele-optimal committee from the b-block to the a-block",
         labels=tuple(f"a{i + 1}" for i in range(k)) + tuple(f"b{i + 1}" for i in range(k)),
-        voter_groups=(("grid", k * k), ("pivot", 1)),
+        voter_groups=groups,
         op=op,
         info={"a_block": tuple(a), "b_block": tuple(b)},
     )
@@ -399,19 +402,19 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     if m_sets < k:
         raise ValueError("fewer sets than cover slots")
     ell = math.ceil(Fraction(3) / (1 - alpha))
-    n_pairs = m_sets * k * ell
-    n_single = m_sets * (m_sets - k) * ell
     pivots = 2 if kind == "swap" else 1
-    _check_voter_count(inst.universe_size + n_pairs + n_single + pivots, max_voters)
+    _check_voter_count(inst.universe_size + m_sets * m_sets * ell + pivots, max_voters)
     set_cand = list(range(m_sets))
     slot_cand = list(range(m_sets, m_sets + k))
     blocks: list[Block] = [
-        ([slot_cand[x // 3]] + [j for j in set_cand if x in inst.sets[j]], 1) for x in range(inst.universe_size)
+        ("element", [slot_cand[x // 3]] + [j for j in set_cand if x in inst.sets[j]], 1)
+        for x in range(inst.universe_size)
     ]
-    blocks += [([j, i], ell) for j in set_cand for i in slot_cand]
-    blocks += [([j], (m_sets - k) * ell) for j in set_cand]
-    blocks.append(([slot_cand[0]], pivots))
-    e = election(m_sets + k, _voters(blocks))
+    blocks += [("set-slot", [j, i], ell) for j in set_cand for i in slot_cand]
+    blocks += [("set-filler", [j], (m_sets - k) * ell) for j in set_cand]
+    blocks.append(("pivot", [slot_cand[0]], pivots))
+    ballots, groups = _voters(blocks)
+    e = election(m_sets + k, ballots)
     labels = tuple(f"A{j + 1}" for j in range(m_sets)) + tuple(f"B{i + 1}" for i in range(k))
     return GadgetBundle(
         election=e,
@@ -420,12 +423,7 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
         budget=1,
         note="one operation changes the Thiele winner set iff the 3-set family has an exact cover",
         labels=labels,
-        voter_groups=(
-            ("element", inst.universe_size),
-            ("set-slot", n_pairs),
-            ("set-filler", n_single),
-            ("pivot", pivots),
-        ),
+        voter_groups=groups,
         info={"alpha": alpha, "ell": ell, "slot_candidates": tuple(slot_cand), "set_candidates": tuple(set_cand)},
     )
 
@@ -468,27 +466,18 @@ def rx3c_to_greedy(
     if variant == "pav":
         pd_count += n * T // 2
     p_only = 3 * n * t // 2 if variant == "pav" else 0
-    padding_size = nsets if kind == "remove" else n
-    total = nsets * T + math.comb(nsets, 2) * T + pd_count + 3 * n * t + p_only + padding_size
-    _check_voter_count(total, max_voters)
-    groups: list[tuple[str, int]] = []
-    blocks: list[Block] = [([i], T) for i in range(nsets)]
-    groups.append(("set-singleton", nsets * T))
-    blocks += [([i, j], T) for i in range(nsets) for j in range(i + 1, nsets)]
-    groups.append(("set-pair", math.comb(nsets, 2) * T))
-    blocks.append(([p, d], pd_count))
-    groups.append(("p-and-d", pd_count))
-    blocks += [([d] + [i for i in range(nsets) if x in inst.sets[i]], t) for x in range(inst.universe_size)]
-    groups.append(("element", inst.universe_size * t))
-    if p_only:
-        blocks.append(([p], p_only))
-        groups.append(("p-only", p_only))
-
     dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
-    blocks += padding
-    groups.append(("padding", padding_size))
-    ballots = _voters(blocks)
-    _check_voter_count(len(ballots), max_voters)
+    total = nsets * T + math.comb(nsets, 2) * T + pd_count + 3 * n * t + p_only + sum(c for _, _, c in padding)
+    _check_voter_count(total, max_voters)
+    blocks: list[Block] = [("set-singleton", [i], T) for i in range(nsets)]
+    blocks += [("set-pair", [i, j], T) for i in range(nsets) for j in range(i + 1, nsets)]
+    blocks.append(("p-and-d", [p, d], pd_count))
+    blocks += [
+        ("element", [d] + [i for i in range(nsets) if x in inst.sets[i]], t) for x in range(inst.universe_size)
+    ]
+    if p_only:
+        blocks.append(("p-only", [p], p_only))
+    ballots, groups = _voters(blocks + padding)
     e = election(nsets + 2 + dummies, ballots)
     k = nsets + 1
     omega = ThieleVector.cc(k) if variant == "cc" else ThieleVector.pav(k)
@@ -505,7 +494,7 @@ def rx3c_to_greedy(
         budget=budget,
         note=f"{budget} operations make greedy-{variant} select p iff the instance has an exact cover",
         labels=labels,
-        voter_groups=tuple(groups),
+        voter_groups=groups,
         info={
             "variant": variant,
             "T": T,
@@ -539,29 +528,18 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     t = 30 * n**5
     d = nsets
     p = nsets + 1
-    padding_size = nsets if kind == "remove" else n
-    total = nsets * T + inst.universe_size * t * t + (T + 3 * t * t - 2 * t) + t // (6 * n) + padding_size
+    pd_count = T + 3 * t * t - 2 * t
+    p_only = t // (6 * n)
+    dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
+    total = nsets * T + inst.universe_size * t * t + pd_count + p_only + sum(c for _, _, c in padding)
     _check_voter_count(total, max_voters)
-    groups: list[tuple[str, int]] = []
-    blocks: list[Block] = [([i], T) for i in range(nsets)]
-    groups.append(("set-singleton", nsets * T))
+    blocks: list[Block] = [("set-singleton", [i], T) for i in range(nsets)]
     with_d = t // (3 * n)
     for x in range(inst.universe_size):
         containing = [i for i in range(nsets) if x in inst.sets[i]]
-        blocks += [(containing, t * t - with_d), ([d] + containing, with_d)]
-    groups.append(("element", inst.universe_size * t * t))
-    pd_count = T + 3 * t * t - 2 * t
-    blocks.append(([p, d], pd_count))
-    groups.append(("p-and-d", pd_count))
-    p_only = t // (6 * n)
-    blocks.append(([p], p_only))
-    groups.append(("p-only", p_only))
-
-    dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
-    blocks += padding
-    groups.append(("padding", padding_size))
-    ballots = _voters(blocks)
-    _check_voter_count(len(ballots), max_voters)
+        blocks += [("element", containing, t * t - with_d), ("element", [d] + containing, with_d)]
+    blocks += [("p-and-d", [p, d], pd_count), ("p-only", [p], p_only)]
+    ballots, groups = _voters(blocks + padding)
     e = election(nsets + 2 + dummies, ballots)
     labels = (
         tuple(f"S{i + 1}" for i in range(nsets))
@@ -575,7 +553,7 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
         budget=budget,
         note=f"{budget} operations make Phragmén select p iff the instance has an exact cover",
         labels=labels,
-        voter_groups=tuple(groups),
+        voter_groups=groups,
         info={"T": T, "t": t, "n": n, "p": p, "d": d},
     )
 
@@ -589,10 +567,10 @@ def _reduction_padding(kind: str, n: int, nsets: int, first_dummy: int) -> tuple
     approval and discard one.
     """
     if kind == "add":
-        return 0, [([], n)], n
+        return 0, [("padding", [], n)], n
     if kind == "remove":
-        return 0, [([i], 1) for i in range(nsets)], 2 * n
-    return n, [([first_dummy + i], 1) for i in range(n)], n
+        return 0, [("padding", [i], 1) for i in range(nsets)], 2 * n
+    return n, [("padding", [first_dummy + i], 1) for i in range(n)], n
 
 
 @dataclass(frozen=True)

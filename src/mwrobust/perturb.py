@@ -218,10 +218,9 @@ def level_argmax(
         raise ValueError(f"unknown operation kind {kind!r}")
     # walking the voters backwards, each ballot's last write is its first voter
     first = dict(zip(reversed(e.ballots), reversed(range(e.n))))
-    level, argmax, before, tables = 0, None, None, {}
+    before = winner_set(e, k, rule, cap).committees(cap)
+    level, argmax, tables = 0, None, {}
     for op in chain.from_iterable(_voter_ops(kind, v, e.ballots[v], e.m, tables) for v in sorted(first.values())):
-        if before is None:
-            before = winner_set(e, k, rule, cap).committees(cap)
         d = _drift(before, _perturbed(e, op), k, rule, cap)
         if d > level or argmax is None:
             level, argmax = d, op

@@ -219,7 +219,7 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
 
     best = sum(both.values()) + sum(x_only.values())  # removing x from every vote closes the gap
     left = delta  # the gap after converting the first b_both both-votes
-    buckets = _dig_buckets(chains)
+    dug = sum(c * (1 - Fraction(1, a)) for a, c in chains.items())  # the gain of digging every y-vote out
     for b_both in range(sum(both.values()) + 1):
         if b_both >= best:
             break
@@ -228,8 +228,8 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
             left -= Fraction(1, a - 1)
             if a - 1 >= 2:
                 chains[a - 1] += 1
-                buckets = _dig_buckets(chains)
-        reach = left - buckets[-1][3] if buckets else left  # the gap left once every y-vote is dug out
+                dug += 1 - Fraction(1, a - 1)
+        reach = left - dug  # the gap left once every y-vote is dug out
         for b_x, removed in enumerate(_read_sums(xonly_prefix, xonly_gains)):
             base_ops = b_both + b_x
             if base_ops >= best:
@@ -240,7 +240,7 @@ def _pair_remove_cost(votes: Counter[tuple[int, bool, bool]], delta: Fraction) -
             if base_ops + 1 >= best:
                 break  # this b_x needs a dig and every later one costs as much
             if removed >= reach:
-                best = min(best, base_ops + _dig_count(buckets, left - removed))
+                best = min(best, base_ops + _dig_count(chains, left - removed))
     return best
 
 
@@ -252,36 +252,25 @@ def _read_sums(sums: list[Fraction], gains: Iterator[Fraction]) -> Iterator[Frac
         yield sums[-1]
 
 
-def _dig_buckets(chains: Counter[int]) -> list[tuple[int, int, Fraction, Fraction]]:
-    """Per y-vote size ``a``, ascending: ``(a, digs before, gain before, gain through)``.
-
-    "Before" is digging out every smaller vote, "through" every vote up to size ``a``.
-    """
-    buckets = []
-    digs, gain = 0, Fraction(0)
-    for a, count in sorted(chains.items()):
-        through = gain + count * (1 - Fraction(1, a))
-        buckets.append((a, digs, gain, through))
-        digs, gain = digs + count * (a - 1), through
-    return buckets
-
-
-def _dig_count(buckets: list[tuple[int, int, Fraction, Fraction]], need: Fraction) -> int:
+def _dig_count(chains: Counter[int], need: Fraction) -> int:
     """Fewest digs into y-votes, smallest vote first and each dug out entirely, whose gains reach ``need``.
 
-    ``need`` is positive and at most the gain of digging every y-vote out.
+    ``chains`` counts the y-votes by size; ``need`` is positive and at most
+    the gain of digging every y-vote out.
     A vote's gain per dig grows as it shrinks, so this order takes the largest
     gains first.  j digs into a vote of size a yield 1/(a(a-1)) + ... +
     1/((a-j+1)(a-j)) = 1/(a-j) - 1/a, all a-1 of them 1 - 1/a.
     """
-    for a, digs, before, through in buckets:
-        if need <= through:
-            whole = 1 - Fraction(1, a)
-            need -= before
+    digs = 0
+    for a, count in sorted(chains.items()):
+        whole = 1 - Fraction(1, a)
+        if need <= count * whole:
             emptied = need // whole  # votes of size a dug out entirely
             need -= emptied * whole  # 0 <= need < whole: fewest j with 1/(a-j) >= need + 1/a
             return digs + emptied * (a - 1) + a - 1 // (need + Fraction(1, a))
-    raise ValueError(f"digging every y-vote out does not reach {need}")
+        need -= count * whole
+        digs += count * (a - 1)
+    raise ValueError(f"digging every y-vote out falls {need} short")
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,15 @@ class TestLevel:
         assert payload["level"] == 0
         assert payload["argmax_op"] is None
 
+    @pytest.mark.parametrize("k", ("0", "5"))
+    @pytest.mark.parametrize("op", ("remove", "swap"))
+    def test_bad_k_is_refused_without_feasible_ops(self, capsys, tmp_path, op, k):
+        path = tmp_path / "empty-ballot.elec"
+        path.write_text("m 2 n 1\n0:\n")
+        code, payload, err = invoke(capsys, "level", str(path), "--rule", "av", "--k", k, "--op", op)
+        assert (code, payload) == (2, "")
+        assert err == {"error": f"committee size k={k} must satisfy 1 <= k <= m=2", "exit_code": 2}
+
 
 class TestWitness:
     def test_thiele_add(self, capsys):

@@ -326,6 +326,41 @@ def test_reductions_refuse_an_unknown_kind(build):
         build("flip")
 
 
+LIMITED_BUILDS = (
+    [
+        pytest.param(
+            lambda kind, limit, v=variant, n=n: rx3c_to_greedy(triple_cover_rx3c(n), v, kind, max_voters=limit),
+            id=f"greedy-{variant}-n{n}",
+        )
+        for variant in ("cc", "pav")
+        for n in (1, 2)
+    ]
+    + [
+        pytest.param(
+            lambda kind, limit: rx3c_to_phragmen(triple_cover_rx3c(1), kind, max_voters=limit), id="phragmen-n1"
+        )
+    ]
+    + [
+        pytest.param(
+            lambda kind, limit, inst=inst, a=alpha: x3c_to_thiele(inst(), a, kind, max_voters=limit),
+            id=f"thiele-{inst.__name__.split('_')[0]}-{alpha}",
+        )
+        for inst in (covered_x3c_example, uncoverable_x3c_example)
+        for alpha in (Fraction(0), Fraction(1, 2), Fraction(2, 3))
+    ]
+)
+
+
+@pytest.mark.parametrize("kind", ("add", "remove", "swap"))
+@pytest.mark.parametrize("build", LIMITED_BUILDS)
+def test_reduction_voter_limit_is_exact(build, kind):
+    """Each reduction's closed-form voter total is its built size: the limit admits it and refuses one less."""
+    e = build(kind, 2_000_000).election
+    assert build(kind, e.n).election == e
+    with pytest.raises(ValueError, match=f"^instance would materialise {e.n} voters, above the limit of {e.n - 1}$"):
+        build(kind, e.n - 1)
+
+
 class TestPhragmenReduction:
     def test_n1_groups(self):
         bundle = rx3c_to_phragmen(triple_cover_rx3c(1))

@@ -161,3 +161,11 @@ class TestLevel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown operation kind 'flip'"):
             level_argmax(election(2, [[0]]), 1, preset_rule("av", 1), "flip")
+
+    @pytest.mark.parametrize("k", (0, 5))
+    @pytest.mark.parametrize("kind", ("remove", "swap"))
+    def test_bad_k_is_refused_without_feasible_ops(self, kind, k):
+        e = election(2, [[]])  # an empty ballot offers no removal and no swap
+        assert len(feasible_operations(e, kind)) == 0
+        with pytest.raises(ValueError, match=f"^committee size k={k} must satisfy 1 <= k <= m=2$"):
+            level_argmax(e, k, preset_rule("av", k), kind)

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from mwrobust import election, sav_scores
-from mwrobust.radius import _dig_buckets, _dig_count, _sav_pair_cost
+from mwrobust.radius import _dig_count, _sav_pair_cost
 
 
 def ref_add_gains(e, x, y):
@@ -157,6 +157,33 @@ def test_every_pair_cost_is_bounded_by_the_votes_holding_x():
     assert pairs > 5_000
 
 
+def test_remove_costs_on_large_dense_ballots():
+    """m 9-14 and dense ballots, so converted both-votes join the y-votes at several sizes."""
+    rng = random.Random(8117)
+    pairs = joined = 0
+    for _ in range(40):
+        m = rng.randint(9, 14)
+        density = rng.choice((0.6, 0.75, 0.9))
+
+        def draw():
+            return [c for c in range(m) if rng.random() < density]
+
+        n = rng.randint(4, 16)
+        types = [draw() for _ in range(rng.randint(2, 4))]
+        ballots = [rng.choice(types) for _ in range(n)] if rng.random() < 0.5 else [draw() for _ in range(n)]
+        e = election(m, ballots)
+        scores = sav_scores(e)
+        for x in range(m):
+            for y in range(m):
+                delta = scores[x] - scores[y]
+                if delta <= 0:
+                    continue
+                assert _sav_pair_cost(e, "remove", x, y, delta) == ref_remove_cost(e, x, y, delta), (e, x, y)
+                pairs += 1
+                joined += len({len(b) for b in e.ballots if x in b and y in b and len(b) >= 3}) >= 2
+    assert pairs > 1_000 and joined > 500, (pairs, joined)
+
+
 def test_closed_form_dig_count_matches_the_heap():
     rng = random.Random(8109)
     for _ in range(1500):
@@ -165,11 +192,9 @@ def test_closed_form_dig_count_matches_the_heap():
         capacity = cums[-1] if cums else Fraction(0)
         # random targets inside and just beyond the capacity, and each cumulative gain exactly
         needs = [Fraction(rng.randint(1, 400), 360) * (capacity or 1) for _ in range(4)] + cums[:3]
-        buckets = _dig_buckets(Counter(histogram))
-        assert (buckets[-1][3] if buckets else 0) == capacity
         for need in needs:
             idx = bisect_left(cums, need)
             if idx < len(cums):
-                assert _dig_count(buckets, need) == idx + 1, (histogram, need)
+                assert _dig_count(Counter(histogram), need) == idx + 1, (histogram, need)
             else:
                 assert need > capacity
