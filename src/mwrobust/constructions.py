@@ -12,10 +12,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from .core import Election, election
-from .perturb import OP_KINDS, Add, Operation, Remove, Swap
+from .perturb import Add, Operation, Remove, Swap, _check_kind
 from .rules import ThieleVector, greedy_thiele
 
 #: Refuse to materialise gadget elections with more voters (or candidates) than this.
@@ -122,7 +123,7 @@ def serialize_x3c(inst: X3CInstance) -> str:
 
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse ``left <n>`` / ``right <n>`` followed by ``edge u v`` lines."""
-    left = right = None
+    sides: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -133,15 +134,15 @@ def parse_graph(text: str) -> BipartiteGraph:
             raise ValueError(f"line {lineno}: expected 'left', 'right' or 'edge', got {fields[0]!r}")
         if len(fields) != (3 if fields[0] == "edge" else 2):
             raise ValueError(f"line {lineno}: expected 'left <n>', 'right <n>' or 'edge <u> <v>'")
-        if fields[0] == "left":
-            left = _ints(fields[1:], lineno)[0]
-        elif fields[0] == "right":
-            right = _ints(fields[1:], lineno)[0]
-        else:
+        if fields[0] == "edge":
             edges.append(tuple(_ints(fields[1:], lineno)))
-    if left is None or right is None:
+        elif fields[0] in sides:
+            raise ValueError(f"line {lineno}: duplicate {fields[0]} declaration")
+        else:
+            sides[fields[0]] = _ints(fields[1:], lineno)[0]
+    if len(sides) < 2:
         raise ValueError("missing left/right declarations")
-    return BipartiteGraph(left, right, tuple(edges))
+    return BipartiteGraph(sides["left"], sides["right"], tuple(edges))
 
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")
@@ -262,6 +263,14 @@ def _voters(blocks: Iterable[Block]) -> tuple[list[frozenset[int]], tuple[tuple[
     return voters, tuple(groups.items())
 
 
+def _labels(*runs: tuple[str, int | None]) -> tuple[str, ...]:
+    """Candidate labels in index order: ``("S", 3)`` names ``S1, S2, S3`` and ``("p", None)`` names ``p``."""
+    labels: list[str] = []
+    for name, size in runs:
+        labels += [name] if size is None else [f"{name}{i + 1}" for i in range(size)]
+    return tuple(labels)
+
+
 # ---------------------------------------------------------------------------
 # Witness elections
 
@@ -277,14 +286,15 @@ def sav_add_witness(k: int) -> GadgetBundle:
     _check_witness(k, voters=2, candidates=2 * k)
     a = list(range(k))
     b = list(range(k, 2 * k))
-    e = election(2 * k, [a, b])
+    labels = _labels(("a", k), ("b", k))
+    e = election(len(labels), [a, b])
     return GadgetBundle(
         election=e,
         k=k,
         op_kind="add",
         budget=1,
         note="a single added approval moves the SAV winner family a full k seats",
-        labels=tuple(f"a{i + 1}" for i in range(k)) + tuple(f"b{i + 1}" for i in range(k)),
+        labels=labels,
         voter_groups=(("a-block", 1), ("b-block", 1)),
         op=Add(0, b[0]),
         info={"expected_displacement": k},
@@ -305,14 +315,8 @@ def sav_remove_witness(k: int) -> GadgetBundle:
     b = list(range(k + 1, 2 * k))
     c = list(range(2 * k, 3 * k + 3))
     d = list(range(3 * k + 3, 4 * k + 6))
-    e = election(4 * k + 6, [[s] + a, b + c, b + d])
-    labels = (
-        ("s",)
-        + tuple(f"a{i + 1}" for i in range(k))
-        + tuple(f"b{i + 1}" for i in range(k - 1))
-        + tuple(f"c{i + 1}" for i in range(k + 3))
-        + tuple(f"d{i + 1}" for i in range(k + 3))
-    )
+    labels = _labels(("s", None), ("a", k), ("b", k - 1), ("c", k + 3), ("d", k + 3))
+    e = election(len(labels), [[s] + a, b + c, b + d])
     return GadgetBundle(
         election=e,
         k=k,
@@ -337,8 +341,7 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
     point, making it the unique winner.
     """
     _check_witness(k, voters=k * k + 1, candidates=2 * k)
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     a = list(range(k))
     b = list(range(k, 2 * k))
     blocks: list[Block] = [("grid", [a[i], b[j]], 1) for i in range(k) for j in range(k)]
@@ -353,15 +356,16 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
         blocks.append(("pivot", [b[0]], 1))
         op = Swap(pivot, b[0], a[0])
     tiebreak = b + a  # prefer b-candidates, then a-candidates
+    labels = _labels(("a", k), ("b", k))
     ballots, groups = _voters(blocks)
-    e = election(2 * k, ballots, tiebreak=tiebreak)
+    e = election(len(labels), ballots, tiebreak=tiebreak)
     return GadgetBundle(
         election=e,
         k=k,
         op_kind=kind,
         budget=1,
         note="one operation moves every Thiele-optimal committee from the b-block to the a-block",
-        labels=tuple(f"a{i + 1}" for i in range(k)) + tuple(f"b{i + 1}" for i in range(k)),
+        labels=labels,
         voter_groups=groups,
         op=op,
         info={"a_block": tuple(a), "b_block": tuple(b)},
@@ -395,8 +399,7 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     m_sets = len(inst.sets)
     k = inst.cover_size
     if m_sets < k:
@@ -413,9 +416,9 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     blocks += [("set-slot", [j, i], ell) for j in set_cand for i in slot_cand]
     blocks += [("set-filler", [j], (m_sets - k) * ell) for j in set_cand]
     blocks.append(("pivot", [slot_cand[0]], pivots))
+    labels = _labels(("A", m_sets), ("B", k))
     ballots, groups = _voters(blocks)
-    e = election(m_sets + k, ballots)
-    labels = tuple(f"A{j + 1}" for j in range(m_sets)) + tuple(f"B{i + 1}" for i in range(k))
+    e = election(len(labels), ballots)
     return GadgetBundle(
         election=e,
         k=k,
@@ -454,8 +457,7 @@ def rx3c_to_greedy(
     """
     if variant not in ("cc", "pav"):
         raise ValueError(f"variant must be 'cc' or 'pav', got {variant!r}")
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     n = inst.cover_size
     nsets = 3 * n
     T = 10 * n**5
@@ -466,7 +468,7 @@ def rx3c_to_greedy(
     if variant == "pav":
         pd_count += n * T // 2
     p_only = 3 * n * t // 2 if variant == "pav" else 0
-    dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
+    dummies, padding, budget = _reduction_padding(kind, n, nsets)
     total = nsets * T + math.comb(nsets, 2) * T + pd_count + 3 * n * t + p_only + sum(c for _, _, c in padding)
     _check_voter_count(total, max_voters)
     blocks: list[Block] = [("set-singleton", [i], T) for i in range(nsets)]
@@ -477,16 +479,12 @@ def rx3c_to_greedy(
     ]
     if p_only:
         blocks.append(("p-only", [p], p_only))
+    labels = _labels(("S", nsets), ("p", None), ("d", None), ("x", dummies))
     ballots, groups = _voters(blocks + padding)
-    e = election(nsets + 2 + dummies, ballots)
+    e = election(len(labels), ballots)
     k = nsets + 1
     omega = ThieleVector.cc(k) if variant == "cc" else ThieleVector.pav(k)
     baseline = greedy_thiele(e, k, omega)
-    labels = (
-        tuple(f"S{i + 1}" for i in range(nsets))
-        + ("p", "d")
-        + tuple(f"x{i + 1}" for i in range(dummies))
-    )
     return GadgetBundle(
         election=e,
         k=k,
@@ -520,32 +518,23 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     ``t/(3n)`` also approve ``d``; ``T + 3t^2 - 2t`` voters for ``{p, d}``;
     ``t/(6n)`` voters for ``p`` alone; plus operation padding.
     """
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     n = inst.cover_size
     nsets = 3 * n
-    T = 900 * n**12
-    t = 30 * n**5
+    T, t, pd_count, p_only, with_d = _phragmen_sizes(n)
     d = nsets
     p = nsets + 1
-    pd_count = T + 3 * t * t - 2 * t
-    p_only = t // (6 * n)
-    dummies, padding, budget = _reduction_padding(kind, n, nsets, first_dummy=nsets + 2)
+    dummies, padding, budget = _reduction_padding(kind, n, nsets)
     total = nsets * T + inst.universe_size * t * t + pd_count + p_only + sum(c for _, _, c in padding)
     _check_voter_count(total, max_voters)
     blocks: list[Block] = [("set-singleton", [i], T) for i in range(nsets)]
-    with_d = t // (3 * n)
     for x in range(inst.universe_size):
         containing = [i for i in range(nsets) if x in inst.sets[i]]
         blocks += [("element", containing, t * t - with_d), ("element", [d] + containing, with_d)]
     blocks += [("p-and-d", [p, d], pd_count), ("p-only", [p], p_only)]
+    labels = _labels(("S", nsets), ("d", None), ("p", None), ("x", dummies))
     ballots, groups = _voters(blocks + padding)
-    e = election(nsets + 2 + dummies, ballots)
-    labels = (
-        tuple(f"S{i + 1}" for i in range(nsets))
-        + ("d", "p")
-        + tuple(f"x{i + 1}" for i in range(dummies))
-    )
+    e = election(len(labels), ballots)
     return GadgetBundle(
         election=e,
         k=nsets + 1,
@@ -558,19 +547,25 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     )
 
 
-def _reduction_padding(kind: str, n: int, nsets: int, first_dummy: int) -> tuple[int, list[Block], int]:
+def _reduction_padding(kind: str, n: int, nsets: int) -> tuple[int, list[Block], int]:
     """Dummy candidates, padding voter blocks and budget for the three operation kinds.
 
     Additions use ``n`` empty voters (budget n); removals use one extra
     approval per set candidate (budget 2n); swaps use ``n`` voters approving
     throwaway dummy candidates (budget n), so each swap can both donate an
-    approval and discard one.
+    approval and discard one.  Dummies follow the sets, ``p`` and ``d``.
     """
     if kind == "add":
         return 0, [("padding", [], n)], n
     if kind == "remove":
         return 0, [("padding", [i], 1) for i in range(nsets)], 2 * n
-    return n, [("padding", [first_dummy + i], 1) for i in range(n)], n
+    return n, [("padding", [nsets + 2 + i], 1) for i in range(n)], n
+
+
+def _phragmen_sizes(n: int) -> tuple[int, int, int, int, int]:
+    """The Phragmén gadget's ``T``, ``t``, ``{p, d}`` block, ``{p}`` block and per-element ``d`` block."""
+    T, t = 900 * n**12, 30 * n**5
+    return T, t, T + 3 * t * t - 2 * t, t // (6 * n), t // (3 * n)
 
 
 @dataclass(frozen=True)
@@ -578,10 +573,12 @@ class PhragmenTimepoints:
     """Exact purchase-time landmarks of the Phragmén gadget.
 
     ``a``: a set candidate's earliest affordable time 1/(T + 3t^2); ``b_pd``
-    1/(T + 3t^2 - 2t), ``b_p`` and ``b_d`` the analogous reciprocals of the
-    approval counts of p and d; ``c`` = a + a^2 t^2 bounds the drift from
-    element voters; ``d_point`` = 1/T; ``x`` is p's total price in the
-    cover-assisted run and must stay below one unit.
+    1/(T + 3t^2 - 2t), the reciprocal of the {p, d} block; ``b_p`` the
+    reciprocal of p's approval count, 1/(T + 3t^2 - 2t + t/(6n)); ``b_d`` =
+    1/(T + 3t^2 - 2t + t/(3n)), the {p, d} block plus one element's d-voters
+    (d itself has T + 3t^2 - t approvals); ``c`` = a + a^2 t^2 bounds the
+    drift from element voters; ``d_point`` = 1/T; ``x`` is p's total price
+    in the cover-assisted run and must stay below one unit.
     """
 
     a: Fraction
@@ -596,15 +593,14 @@ class PhragmenTimepoints:
 def phragmen_reduction_timepoints(n: int) -> PhragmenTimepoints:
     if n < 1:
         raise ValueError("n must be positive")
-    T = Fraction(900 * n**12)
-    t = Fraction(30 * n**5)
-    a = 1 / (T + 3 * t * t)
-    b_pd = 1 / (T + 3 * t * t - 2 * t)
-    b_p = 1 / (T + 3 * t * t - 2 * t + t / (6 * n))
-    b_d = 1 / (T + 3 * t * t - 2 * t + t / (3 * n))
+    T, t, pd_count, p_only, with_d = _phragmen_sizes(n)
+    a = Fraction(1, T + 3 * t * t)
+    b_pd = Fraction(1, pd_count)
+    b_p = Fraction(1, pd_count + p_only)
+    b_d = Fraction(1, pd_count + with_d)
     c = a + a * a * t * t
-    d_point = 1 / T
-    x = (T + 3 * t * t - 2 * t) * b_p + t * (b_p - a)
+    d_point = Fraction(1, T)
+    x = pd_count * b_p + t * (b_p - a)
     return PhragmenTimepoints(a=a, b_pd=b_pd, b_p=b_p, b_d=b_d, c=c, d_point=d_point, x=x)
 
 
@@ -633,26 +629,18 @@ def matching_to_sav_counting(g: BipartiteGraph, mode: str, max_voters: int = DEF
     size = n if mode == "add" else n * n
     edges = len(g.edges)
     fillers = 4 * n * size - 2 * edges  # pads each of the 2n vertices to 2 * size ballots
-    _check_voter_count(edges + fillers, max_voters, candidates=2 * n + edges * (size - 2) + fillers * (size - 1))
-    ballots: list[list[int]] = []
-    next_dummy = 2 * n
-    for u, v in g.edges:
-        ballots.append([u, n + v] + list(range(next_dummy, next_dummy + size - 2)))
-        next_dummy += size - 2
+    dummy_count = edges * (size - 2) + fillers * (size - 1)
+    _check_voter_count(edges + fillers, max_voters, candidates=2 * n + dummy_count)
+    labels = _labels(("u", n), ("w", n), ("z", dummy_count))
+    unused = iter(range(2 * n, len(labels)))  # each ballot takes the next unused dummies
+    ballots = [[u, n + v, *islice(unused, size - 2)] for u, v in g.edges]
     for side, offset in (("left", 0), ("right", n)):
         for x in range(n):
             for _ in range(2 * size - g.degree(side, x)):
-                ballots.append([offset + x] + list(range(next_dummy, next_dummy + size - 1)))
-                next_dummy += size - 1
-    dummy_count = next_dummy - 2 * n
-    e = election(next_dummy, ballots)
+                ballots.append([offset + x, *islice(unused, size - 1)])
+    e = election(len(labels), ballots)
     choices = dummy_count - (size - 2) if mode == "add" else size - 2
     matchings = count_perfect_matchings(g)
-    labels = (
-        tuple(f"u{x + 1}" for x in range(n))
-        + tuple(f"w{x + 1}" for x in range(n))
-        + tuple(f"z{i + 1}" for i in range(dummy_count))
-    )
     return GadgetBundle(
         election=e,
         k=1,

@@ -18,8 +18,6 @@ from itertools import accumulate, chain, repeat
 from .core import Election, _Profile, _profile_after
 from .rules import DEFAULT_CAP, RuleSpec, winner_set
 
-OP_KINDS = ("add", "remove", "swap")
-
 
 @dataclass(frozen=True)
 class Add:
@@ -42,6 +40,12 @@ class Swap:
 
 Operation = Add | Remove | Swap
 _OP_TYPES = {"add": Add, "remove": Remove, "swap": Swap}
+OP_KINDS = tuple(_OP_TYPES)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _OP_TYPES:
+        raise ValueError(f"unknown operation kind {kind!r}")
 
 
 def op_kind(op: Operation) -> str:
@@ -127,8 +131,7 @@ class _Operations(Sequence):
     """
 
     def __init__(self, e: Election, kind: str) -> None:
-        if kind not in OP_KINDS:
-            raise ValueError(f"unknown operation kind {kind!r}")
+        _check_kind(kind)
         self._kind, self._m, self._ballots = kind, e.m, e.ballots
         self._moves = {ballot: _moves(kind, ballot, e.m) for ballot in e.groups}
 
@@ -214,8 +217,7 @@ def level_argmax(
     The operation is the first maximiser in (voter, candidate) order; voters with
     equal ballots cause equal displacements, so only the first of them is tried.
     """
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     # walking the voters backwards, each ballot's last write is its first voter
     first = dict(zip(reversed(e.ballots), reversed(range(e.n))))
     before = winner_set(e, k, rule, cap).committees(cap)

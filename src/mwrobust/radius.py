@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .core import CapExceeded, Election, _profile_after, approval_scores, sav_scores
-from .perturb import OP_KINDS, Operation, _after, _voter_ops
+from .perturb import Operation, _after, _check_kind, _voter_ops
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal, winners_separable
 
 
@@ -296,8 +296,7 @@ def oracle_radius(
     Raises ``CapExceeded`` before the search would hold more than ``cap`` distinct
     elections, ``e`` included; ``cap`` also bounds each winner set.
     """
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     if max_budget < 0:
         raise ValueError("max_budget must be nonnegative")
     base = winner_set(e, k, rule, cap)
@@ -369,7 +368,6 @@ def robustness_radius(
 
 
 def _check_radius_args(e: Election, k: int, kind: str) -> None:
-    if kind not in OP_KINDS:
-        raise ValueError(f"unknown operation kind {kind!r}")
+    _check_kind(kind)
     if not 1 <= k < e.m:
         raise ValueError(f"radius needs 1 <= k < m, got k={k}, m={e.m}")

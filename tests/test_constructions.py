@@ -36,6 +36,8 @@ from mwrobust import (
     x3c_to_thiele,
 )
 
+KINDS = ("add", "remove", "swap")
+
 
 class TestInstanceTypes:
     def test_x3c_validation(self):
@@ -118,6 +120,10 @@ class TestFileFormats:
             parse_graph("left 2\nright 2\nedge 0 x\n")
         with pytest.raises(ValueError, match="^line 1: expected an integer, got '0_2'$"):
             parse_graph("left 0_2\nright 2\n")
+        with pytest.raises(ValueError, match="^line 3: duplicate left declaration$"):
+            parse_graph("left 3\nright 2\nleft 2\nedge 0 0\nedge 1 1\n")
+        with pytest.raises(ValueError, match="^line 2: duplicate right declaration$"):
+            parse_graph("right 2\nright 2\nleft 2\n")
 
 
 class TestExactCoverSolver:
@@ -160,6 +166,24 @@ class TestMatchingCounter:
     def test_unbalanced(self):
         with pytest.raises(ValueError):
             count_perfect_matchings(BipartiteGraph(2, 3, ()))
+
+
+EVERY_BUILD = (
+    [(sav_add_witness, (k,)) for k in (2, 3)]
+    + [(sav_remove_witness, (k,)) for k in (2, 3)]
+    + [(thiele_witness, (3, kind)) for kind in KINDS]
+    + [(x3c_to_thiele, (covered_x3c_example(), Fraction(1, 2), kind)) for kind in KINDS]
+    + [(rx3c_to_greedy, (triple_cover_rx3c(1), variant, kind)) for variant in ("cc", "pav") for kind in KINDS]
+    + [(rx3c_to_phragmen, (triple_cover_rx3c(1), kind)) for kind in KINDS]
+    + [(matching_to_sav_counting, (BipartiteGraph(2, 2, ((0, 0),)), mode)) for mode in ("add", "remove")]
+)
+
+
+@pytest.mark.parametrize("build, args", EVERY_BUILD)
+def test_every_candidate_has_one_distinct_label(build, args):
+    bundle = build(*args)
+    assert len(bundle.labels) == bundle.election.m
+    assert len(set(bundle.labels)) == len(bundle.labels)
 
 
 class TestSavWitnesses:

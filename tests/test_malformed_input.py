@@ -147,7 +147,7 @@ def malformed_graph(draw):
     left, right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     edges = draw(st.lists(st.tuples(st.integers(0, left - 1), st.integers(0, right - 1)), unique=True, max_size=5))
     lines = serialize_graph(BipartiteGraph(left, right, tuple(edges))).splitlines()
-    options = ["number", "junk", "empty side", "drop side", "edge out of range", "field count"]
+    options = ["number", "junk", "empty side", "drop side", "second side", "edge out of range", "field count"]
     if edges:
         options.append("duplicate edge")
     kind = draw(st.sampled_from(options))
@@ -160,6 +160,8 @@ def malformed_graph(draw):
         lines[side] = lines[side].split()[0] + " 0"
     elif kind == "drop side":
         del lines[draw(st.integers(0, 1))]
+    elif kind == "second side":
+        lines = insert_line(draw, lines, lines[draw(st.integers(0, 1))])
     elif kind == "edge out of range":
         lines = insert_line(draw, lines, draw(st.sampled_from([f"edge {left} 0", f"edge 0 {right}"])))
     elif kind == "field count":
