@@ -1,159 +1,19 @@
 """Approval-based committee rules and their robustness to ballot perturbations."""
 
-from .constructions import (
-    DEFAULT_MAX_VOTERS,
-    BipartiteGraph,
-    GadgetBundle,
-    PhragmenTimepoints,
-    RX3CInstance,
-    X3CInstance,
-    count_perfect_matchings,
-    covered_x3c_example,
-    matching_to_sav_counting,
-    no_cover_rx3c_n2,
-    parse_graph,
-    parse_x3c,
-    phragmen_reduction_timepoints,
-    rx3c_to_greedy,
-    rx3c_to_phragmen,
-    sav_add_witness,
-    sav_remove_witness,
-    serialize_graph,
-    serialize_x3c,
-    solve_exact_cover,
-    thiele_witness,
-    triple_cover_rx3c,
-    uncoverable_x3c_example,
-    x3c_to_thiele,
-)
-from .core import (
-    CapExceeded,
-    Committee,
-    Election,
-    approval_scores,
-    committee_score,
-    election,
-    render_diff_matrix,
-    sav_scores,
-)
-from .counting import (
-    CountOutcome,
-    av_count_unchanged,
-    count_unchanged,
-    oracle_count_unchanged,
-)
-from .perturb import (
-    OP_KINDS,
-    Add,
-    Operation,
-    Remove,
-    Swap,
-    apply,
-    apply_sequence,
-    displacement,
-    feasible_operations,
-    is_feasible,
-    level_argmax,
-    op_kind,
-)
-from .radius import (
-    ExceedsBound,
-    Finite,
-    Impossible,
-    RadiusOutcome,
-    av_radius,
-    oracle_radius,
-    robustness_radius,
-    sav_radius,
-)
-from .rules import (
-    DEFAULT_CAP,
-    ExplicitWinners,
-    RuleSpec,
-    ThieleVector,
-    ThresholdWinners,
-    WinnerSet,
-    greedy_thiele,
-    phragmen,
-    phragmen_trace,
-    preset_rule,
-    winner_set,
-    winner_sets_equal,
-    winners_separable,
-    winners_thiele,
-)
+from . import constructions, core, counting, perturb, radius, rules
+from .constructions import *
+from .core import *
+from .counting import *
+from .perturb import *
+from .radius import *
+from .rules import *
 
-__all__ = [
-    "Add",
-    "BipartiteGraph",
-    "CapExceeded",
-    "Committee",
-    "CountOutcome",
-    "DEFAULT_CAP",
-    "DEFAULT_MAX_VOTERS",
-    "Election",
-    "ExceedsBound",
-    "ExplicitWinners",
-    "Finite",
-    "GadgetBundle",
-    "Impossible",
-    "OP_KINDS",
-    "Operation",
-    "PhragmenTimepoints",
-    "RadiusOutcome",
-    "Remove",
-    "RuleSpec",
-    "RX3CInstance",
-    "Swap",
-    "ThieleVector",
-    "ThresholdWinners",
-    "WinnerSet",
-    "X3CInstance",
-    "approval_scores",
-    "apply",
-    "apply_sequence",
-    "av_count_unchanged",
-    "av_radius",
-    "committee_score",
-    "count_perfect_matchings",
-    "count_unchanged",
-    "covered_x3c_example",
-    "displacement",
-    "election",
-    "feasible_operations",
-    "greedy_thiele",
-    "is_feasible",
-    "level_argmax",
-    "matching_to_sav_counting",
-    "no_cover_rx3c_n2",
-    "op_kind",
-    "oracle_count_unchanged",
-    "oracle_radius",
-    "parse_graph",
-    "parse_x3c",
-    "phragmen",
-    "phragmen_reduction_timepoints",
-    "phragmen_trace",
-    "preset_rule",
-    "render_diff_matrix",
-    "robustness_radius",
-    "rx3c_to_greedy",
-    "rx3c_to_phragmen",
-    "sav_add_witness",
-    "sav_radius",
-    "sav_remove_witness",
-    "sav_scores",
-    "serialize_graph",
-    "serialize_x3c",
-    "solve_exact_cover",
-    "thiele_witness",
-    "triple_cover_rx3c",
-    "uncoverable_x3c_example",
-    "winner_set",
-    "winner_sets_equal",
-    "winners_separable",
-    "winners_thiele",
-    "x3c_to_thiele",
-]
+__all__ = []
+__all__ += constructions.__all__
+__all__ += core.__all__
+__all__ += counting.__all__
+__all__ += perturb.__all__
+__all__ += radius.__all__
+__all__ += rules.__all__
 
 __version__ = "0.1.0"

@@ -19,6 +19,33 @@ from .core import Election, election
 from .perturb import Add, Operation, Remove, Swap, _check_kind
 from .rules import ThieleVector, greedy_thiele
 
+__all__ = [
+    "DEFAULT_MAX_VOTERS",
+    "BipartiteGraph",
+    "GadgetBundle",
+    "PhragmenTimepoints",
+    "RX3CInstance",
+    "X3CInstance",
+    "count_perfect_matchings",
+    "covered_x3c_example",
+    "matching_to_sav_counting",
+    "no_cover_rx3c_n2",
+    "parse_graph",
+    "parse_x3c",
+    "phragmen_reduction_timepoints",
+    "rx3c_to_greedy",
+    "rx3c_to_phragmen",
+    "sav_add_witness",
+    "sav_remove_witness",
+    "serialize_graph",
+    "serialize_x3c",
+    "solve_exact_cover",
+    "thiele_witness",
+    "triple_cover_rx3c",
+    "uncoverable_x3c_example",
+    "x3c_to_thiele",
+]
+
 #: Refuse to materialise gadget elections with more voters (or candidates) than this.
 DEFAULT_MAX_VOTERS = 2_000_000
 

@@ -16,6 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+__all__ = [
+    "CapExceeded",
+    "Committee",
+    "Election",
+    "approval_scores",
+    "committee_score",
+    "election",
+    "render_diff_matrix",
+    "sav_scores",
+]
+
 Committee = tuple[int, ...]  # sorted, distinct candidate indices
 
 

@@ -20,7 +20,14 @@ from itertools import combinations, islice
 
 from .core import CapExceeded, Election, _profile_after, approval_scores
 from .perturb import _moves
-from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal
+from .rules import DEFAULT_CAP, RuleSpec, _check_k, winner_set, winner_sets_equal
+
+__all__ = [
+    "CountOutcome",
+    "av_count_unchanged",
+    "count_unchanged",
+    "oracle_count_unchanged",
+]
 
 COUNT_KINDS = ("add", "remove")
 
@@ -57,8 +64,7 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
     """
     if kind not in COUNT_KINDS:
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
-    if not 1 <= k <= e.m:
-        raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m={e.m}")
+    _check_k(e, k)
     n, adds = e.n, kind == "add"
     scores = approval_scores(e)
     slots = n * e.m - sum(scores) if adds else sum(scores)

@@ -18,6 +18,21 @@ from itertools import accumulate, chain, repeat
 from .core import Election, _Profile, _profile_after
 from .rules import DEFAULT_CAP, RuleSpec, winner_set
 
+__all__ = [
+    "OP_KINDS",
+    "Add",
+    "Operation",
+    "Remove",
+    "Swap",
+    "apply",
+    "apply_sequence",
+    "displacement",
+    "feasible_operations",
+    "is_feasible",
+    "level_argmax",
+    "op_kind",
+]
+
 
 @dataclass(frozen=True)
 class Add:
@@ -41,6 +56,7 @@ class Swap:
 Operation = Add | Remove | Swap
 _OP_TYPES = {"add": Add, "remove": Remove, "swap": Swap}
 OP_KINDS = tuple(_OP_TYPES)
+_KIND_OF = {op_type: kind for kind, op_type in _OP_TYPES.items()}
 
 
 def _check_kind(kind: str) -> None:
@@ -49,11 +65,7 @@ def _check_kind(kind: str) -> None:
 
 
 def op_kind(op: Operation) -> str:
-    if isinstance(op, Add):
-        return "add"
-    if isinstance(op, Remove):
-        return "remove"
-    return "swap"
+    return _KIND_OF[type(op)]
 
 
 def is_feasible(e: Election, op: Operation) -> bool:
@@ -137,7 +149,7 @@ class _Operations(Sequence):
 
     @cached_property
     def _ends(self) -> list[int]:
-        # built on first use: a search that only iterates never reads it
+        # built on first use: a caller that only iterates, without len() or indexing, never reads it
         sizes = {ballot: len(columns[0]) for ballot, columns in self._moves.items()}
         return list(accumulate(map(sizes.__getitem__, self._ballots)))
 

@@ -21,6 +21,17 @@ from .core import CapExceeded, Election, _profile_after, approval_scores, sav_sc
 from .perturb import Operation, _after, _check_kind, _voter_ops
 from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal, winners_separable
 
+__all__ = [
+    "ExceedsBound",
+    "Finite",
+    "Impossible",
+    "RadiusOutcome",
+    "av_radius",
+    "oracle_radius",
+    "robustness_radius",
+    "sav_radius",
+]
+
 
 @dataclass(frozen=True)
 class Finite:

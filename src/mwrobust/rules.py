@@ -11,9 +11,27 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import CapExceeded, Committee, Election, _scaled_sav_scores, approval_scores
+
+__all__ = [
+    "DEFAULT_CAP",
+    "ExplicitWinners",
+    "RuleSpec",
+    "ThieleVector",
+    "ThresholdWinners",
+    "WinnerSet",
+    "greedy_thiele",
+    "phragmen",
+    "phragmen_trace",
+    "preset_rule",
+    "winner_set",
+    "winner_sets_equal",
+    "winners_separable",
+    "winners_thiele",
+]
 
 #: Default bound on how many committees an operation may enumerate.
 DEFAULT_CAP = 10**6
@@ -25,7 +43,8 @@ class ThieleVector:
 
     Each weight may be given as anything ``Fraction`` accepts, such as ``1`` or ``"1/2"``.
 
-    ``integer_weights``, derived and not a field, is ``weights`` times the lcm of their denominators.
+    ``integer_weights``, derived and not a field, is ``weights`` times the lcm of their denominators,
+    computed on first use.
     """
 
     weights: tuple[Fraction, ...]
@@ -36,8 +55,11 @@ class ThieleVector:
             raise ValueError("weight vector must be nonempty")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
+
+    @cached_property
+    def integer_weights(self) -> tuple[int, ...]:
         scale = math.lcm(*(w.denominator for w in self.weights))
-        object.__setattr__(self, "integer_weights", tuple(w.numerator * (scale // w.denominator) for w in self.weights))
+        return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
     @classmethod
     def av(cls, k: int) -> "ThieleVector":
@@ -75,7 +97,7 @@ class RuleSpec:
     omega: ThieleVector | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("av", "sav", "thiele", "greedy", "phragmen"):
+        if self.kind not in WINNER_PROVENANCE:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind in ("thiele", "greedy"):
             if self.omega is None:

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,11 @@ from mwrobust import (
     greedy_thiele,
     no_cover_rx3c_n2,
     phragmen_trace,
+    preset_rule,
     rx3c_to_greedy,
     rx3c_to_phragmen,
     triple_cover_rx3c,
+    winner_set,
     winners_thiele,
 )
 
@@ -200,3 +203,15 @@ class TestThieleWeights:
             assert clone.integer_weights == omega.integer_weights
         with pytest.raises(dataclasses.FrozenInstanceError):
             omega.weights = (Fraction(1),)
+
+    @pytest.mark.parametrize("name", ("pav", "greedy-pav"))
+    def test_k_checked_before_weights_are_scaled(self, name):
+        # scaled by lcm(1..20000), the 20,000 PAV weights would take tens of megabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^committee size k=20000 must satisfy 1 <= k <= m=2$"):
+                winner_set(election(2, [[0]]), 20000, preset_rule(name, 20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
