@@ -278,8 +278,13 @@ def _check_voter_count(voters: int, max_voters: int, candidates: int = 0) -> Non
 Block = tuple[str, list[int], int]  # a voter-group label, a ballot and the number of voters casting it
 
 
-def _voters(blocks: Iterable[Block]) -> tuple[list[frozenset[int]], tuple[tuple[str, int], ...]]:
-    """The voters of ``blocks``, equal ballots sharing a frozenset, and each label's total in first-seen order."""
+def _bundle(
+    labels: tuple[str, ...], blocks: Iterable[Block], tiebreak: list[int] | None = None, **fields
+) -> GadgetBundle:
+    """The gadget over ``labels`` whose voters are ``blocks`` in order, equal ballots sharing a frozenset.
+
+    ``voter_groups`` totals each block label in first-seen order; ``fields`` are the bundle's other fields.
+    """
     shared: dict[frozenset[int], frozenset[int]] = {}
     voters: list[frozenset[int]] = []
     groups: dict[str, int] = {}
@@ -287,7 +292,8 @@ def _voters(blocks: Iterable[Block]) -> tuple[list[frozenset[int]], tuple[tuple[
         ballot = frozenset(ballot)
         voters += [shared.setdefault(ballot, ballot)] * count
         groups[label] = groups.get(label, 0) + count
-    return voters, tuple(groups.items())
+    e = election(len(labels), voters, tiebreak)
+    return GadgetBundle(election=e, labels=labels, voter_groups=tuple(groups.items()), **fields)
 
 
 def _labels(*runs: tuple[str, int | None]) -> tuple[str, ...]:
@@ -313,16 +319,13 @@ def sav_add_witness(k: int) -> GadgetBundle:
     _check_witness(k, voters=2, candidates=2 * k)
     a = list(range(k))
     b = list(range(k, 2 * k))
-    labels = _labels(("a", k), ("b", k))
-    e = election(len(labels), [a, b])
-    return GadgetBundle(
-        election=e,
+    return _bundle(
+        _labels(("a", k), ("b", k)),
+        [("a-block", a, 1), ("b-block", b, 1)],
         k=k,
         op_kind="add",
         budget=1,
         note="a single added approval moves the SAV winner family a full k seats",
-        labels=labels,
-        voter_groups=(("a-block", 1), ("b-block", 1)),
         op=Add(0, b[0]),
         info={"expected_displacement": k},
     )
@@ -342,16 +345,13 @@ def sav_remove_witness(k: int) -> GadgetBundle:
     b = list(range(k + 1, 2 * k))
     c = list(range(2 * k, 3 * k + 3))
     d = list(range(3 * k + 3, 4 * k + 6))
-    labels = _labels(("s", None), ("a", k), ("b", k - 1), ("c", k + 3), ("d", k + 3))
-    e = election(len(labels), [[s] + a, b + c, b + d])
-    return GadgetBundle(
-        election=e,
+    return _bundle(
+        _labels(("s", None), ("a", k), ("b", k - 1), ("c", k + 3), ("d", k + 3)),
+        [("s-and-a", [s] + a, 1), ("b-and-c", b + c, 1), ("b-and-d", b + d, 1)],
         k=k,
         op_kind="remove",
         budget=1,
         note="a single removed approval moves the SAV winner family a full k seats",
-        labels=labels,
-        voter_groups=(("s-and-a", 1), ("b-and-c", 1), ("b-and-d", 1)),
         op=Remove(0, s),
         info={"expected_displacement": k},
     )
@@ -382,18 +382,14 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
     else:
         blocks.append(("pivot", [b[0]], 1))
         op = Swap(pivot, b[0], a[0])
-    tiebreak = b + a  # prefer b-candidates, then a-candidates
-    labels = _labels(("a", k), ("b", k))
-    ballots, groups = _voters(blocks)
-    e = election(len(labels), ballots, tiebreak=tiebreak)
-    return GadgetBundle(
-        election=e,
+    return _bundle(
+        _labels(("a", k), ("b", k)),
+        blocks,
+        b + a,  # prefer b-candidates, then a-candidates
         k=k,
         op_kind=kind,
         budget=1,
         note="one operation moves every Thiele-optimal committee from the b-block to the a-block",
-        labels=labels,
-        voter_groups=groups,
         op=op,
         info={"a_block": tuple(a), "b_block": tuple(b)},
     )
@@ -443,17 +439,13 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     blocks += [("set-slot", [j, i], ell) for j in set_cand for i in slot_cand]
     blocks += [("set-filler", [j], (m_sets - k) * ell) for j in set_cand]
     blocks.append(("pivot", [slot_cand[0]], pivots))
-    labels = _labels(("A", m_sets), ("B", k))
-    ballots, groups = _voters(blocks)
-    e = election(len(labels), ballots)
-    return GadgetBundle(
-        election=e,
+    return _bundle(
+        _labels(("A", m_sets), ("B", k)),
+        blocks,
         k=k,
         op_kind=kind,
         budget=1,
         note="one operation changes the Thiele winner set iff the 3-set family has an exact cover",
-        labels=labels,
-        voter_groups=groups,
         info={"alpha": alpha, "ell": ell, "slot_candidates": tuple(slot_cand), "set_candidates": tuple(set_cand)},
     )
 
@@ -506,20 +498,15 @@ def rx3c_to_greedy(
     ]
     if p_only:
         blocks.append(("p-only", [p], p_only))
-    labels = _labels(("S", nsets), ("p", None), ("d", None), ("x", dummies))
-    ballots, groups = _voters(blocks + padding)
-    e = election(len(labels), ballots)
     k = nsets + 1
     omega = ThieleVector.cc(k) if variant == "cc" else ThieleVector.pav(k)
-    baseline = greedy_thiele(e, k, omega)
-    return GadgetBundle(
-        election=e,
+    bundle = _bundle(
+        _labels(("S", nsets), ("p", None), ("d", None), ("x", dummies)),
+        blocks + padding,
         k=k,
         op_kind=kind,
         budget=budget,
         note=f"{budget} operations make greedy-{variant} select p iff the instance has an exact cover",
-        labels=labels,
-        voter_groups=groups,
         info={
             "variant": variant,
             "T": T,
@@ -528,11 +515,11 @@ def rx3c_to_greedy(
             "p": p,
             "d": d,
             "omega": omega,
-            "baseline": baseline,
-            "selects_p": p in baseline,
-            "shortcut": p in baseline,
         },
     )
+    baseline = greedy_thiele(bundle.election, k, omega)
+    bundle.info.update(baseline=baseline, selects_p=p in baseline, shortcut=p in baseline)
+    return bundle
 
 
 def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DEFAULT_MAX_VOTERS) -> GadgetBundle:
@@ -559,17 +546,13 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
         containing = [i for i in range(nsets) if x in inst.sets[i]]
         blocks += [("element", containing, t * t - with_d), ("element", [d] + containing, with_d)]
     blocks += [("p-and-d", [p, d], pd_count), ("p-only", [p], p_only)]
-    labels = _labels(("S", nsets), ("d", None), ("p", None), ("x", dummies))
-    ballots, groups = _voters(blocks + padding)
-    e = election(len(labels), ballots)
-    return GadgetBundle(
-        election=e,
+    return _bundle(
+        _labels(("S", nsets), ("d", None), ("p", None), ("x", dummies)),
+        blocks + padding,
         k=nsets + 1,
         op_kind=kind,
         budget=budget,
         note=f"{budget} operations make Phragmén select p iff the instance has an exact cover",
-        labels=labels,
-        voter_groups=groups,
         info={"T": T, "t": t, "n": n, "p": p, "d": d},
     )
 

@@ -162,6 +162,7 @@ def oracle_count_unchanged(
     """
     if kind not in COUNT_KINDS:
         raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
+    _check_k(e, k)
     # (ballot, its voter count, its moves) per ballot type; a type without moves takes no cell
     types = [(ballot, count, moves) for ballot, count in e.groups.items() if (moves := _moves(kind, ballot, e.m)[0])]
     cells = sum(count * len(moves) for _, count, moves in types)

@@ -12,7 +12,6 @@ import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 from .core import Election, _Profile, _profile_after
@@ -146,12 +145,8 @@ class _Operations(Sequence):
         _check_kind(kind)
         self._kind, self._m, self._ballots = kind, e.m, e.ballots
         self._moves = {ballot: _moves(kind, ballot, e.m) for ballot in e.groups}
-
-    @cached_property
-    def _ends(self) -> list[int]:
-        # built on first use: a caller that only iterates, without len() or indexing, never reads it
         sizes = {ballot: len(columns[0]) for ballot, columns in self._moves.items()}
-        return list(accumulate(map(sizes.__getitem__, self._ballots)))
+        self._ends = list(accumulate(map(sizes.__getitem__, self._ballots)))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0

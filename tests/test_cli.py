@@ -285,6 +285,19 @@ class TestCount:
             assert err["exit_code"] == 3
             assert "C(46,20) bundles exceeds cap" in err["error"]
 
+    @pytest.mark.parametrize("k", ("0", "5"))
+    def test_oracle_refuses_bad_k_before_the_bundle_cap(self, capsys, tmp_path, k):
+        # 16 addable cells: C(16, 8) = 12,870 bundles exceed the cap, but k is refused first
+        path = tmp_path / "six.elec"
+        path.write_text("m 4 n 6\n0: 0\n1: 1\n2: 2\n3: 0 1\n4: 2 3\n5: 3\n")
+        code, payload, err = invoke(
+            capsys,
+            "count", str(path), "--rule", "phragmen", "--k", k, "--op", "add", "--budget", "8",
+            "--method", "oracle", "--cap", "1000",
+        )
+        assert (code, payload) == (2, "")
+        assert err == {"error": f"committee size k={k} must satisfy 1 <= k <= m=4", "exit_code": 2}
+
 
 class TestLevel:
     def test_split_vote(self, capsys, tmp_path):

@@ -184,6 +184,9 @@ def test_every_candidate_has_one_distinct_label(build, args):
     bundle = build(*args)
     assert len(bundle.labels) == bundle.election.m
     assert len(set(bundle.labels)) == len(bundle.labels)
+    names = [name for name, _ in bundle.voter_groups]
+    assert len(set(names)) == len(names)
+    assert sum(count for _, count in bundle.voter_groups) == bundle.election.n
 
 
 class TestSavWitnesses:
@@ -192,6 +195,7 @@ class TestSavWitnesses:
         assert bundle.election.m == 6
         assert bundle.election.n == 2
         assert len(bundle.labels) == bundle.election.m
+        assert bundle.voter_groups == (("a-block", 1), ("b-block", 1))
         assert bundle.op is not None
 
     def test_add_displacement(self):
@@ -203,6 +207,7 @@ class TestSavWitnesses:
         bundle = sav_remove_witness(2)
         assert bundle.election.m == 14
         assert bundle.election.n == 3
+        assert bundle.voter_groups == (("s-and-a", 1), ("b-and-c", 1), ("b-and-d", 1))
 
     def test_remove_displacement(self):
         bundle = sav_remove_witness(2)

@@ -169,6 +169,11 @@ class TestOracleCap:
         with pytest.raises(CapExceeded):
             oracle_count_unchanged(self.WIDE, 2, rule, "add", 20)  # the default cap, 10^6, is exceeded too
 
+    @pytest.mark.parametrize("k", (0, 7))
+    def test_committee_size_checked_before_the_bundle_count(self, k):
+        with pytest.raises(ValueError, match=rf"^committee size k={k} must satisfy 1 <= k <= m=6$"):
+            oracle_count_unchanged(self.WIDE, k, preset_rule("pav", 2), "add", 20, cap=1000)
+
     @pytest.mark.parametrize("budget", (-1, 5))
     def test_budget_outside_the_cells_refused(self, budget):
         e = election(3, [[0], [0]])  # 4 addable cells
