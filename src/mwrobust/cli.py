@@ -18,7 +18,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import constructions as cons
-from .core import CapExceeded, Election, approval_scores, election, render_diff_matrix, sav_scores
+from .core import CapExceeded, Election, approval_scores, render_diff_matrix, sav_scores
 from .counting import count_unchanged
 from .perturb import OP_KINDS, Operation, level_argmax, op_kind
 from .radius import ExceedsBound, Finite, robustness_radius
@@ -52,7 +52,7 @@ def parse_election(text: str) -> Election:
     header: tuple[int, int] | None = None
     ballots_by_voter: dict[int, frozenset[int]] = {}
     checked: dict[str, frozenset[int]] = {}  # candidate text -> its ballot
-    tiebreak: list[int] | None = None
+    tiebreak: tuple[int, ...] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip() if "#" in raw else raw.strip()
         if not line:
@@ -71,7 +71,7 @@ def parse_election(text: str) -> Election:
         if colon and left == "tiebreak":
             if tiebreak is not None:
                 raise ValueError(f"line {lineno}: duplicate tiebreak line")
-            tiebreak = cons._ints(right.split(), lineno)
+            tiebreak = tuple(cons._ints(right.split(), lineno))
             continue
         if not colon:
             raise ValueError(f"line {lineno}: expected '<voter>: <candidates>'")
@@ -91,8 +91,7 @@ def parse_election(text: str) -> Election:
     m, n = header
     if len(ballots_by_voter) != n or sorted(ballots_by_voter) != list(range(n)):
         raise ValueError(f"expected one ballot line for each voter 0..{n - 1}")
-    ballots = [ballots_by_voter[i] for i in range(n)]
-    return election(m, ballots, tiebreak=tuple(tiebreak) if tiebreak is not None else None)
+    return Election(m, tuple(map(ballots_by_voter.__getitem__, range(n))), tiebreak)
 
 
 def serialize_election(e: Election) -> str:

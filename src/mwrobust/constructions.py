@@ -279,7 +279,7 @@ Block = tuple[str, list[int], int]  # a voter-group label, a ballot and the numb
 
 
 def _bundle(
-    labels: tuple[str, ...], blocks: Iterable[Block], tiebreak: list[int] | None = None, **fields
+    labels: tuple[str, ...], blocks: Iterable[Block], tiebreak: tuple[int, ...] | None = None, **fields
 ) -> GadgetBundle:
     """The gadget over ``labels`` whose voters are ``blocks`` in order, equal ballots sharing a frozenset.
 
@@ -292,7 +292,7 @@ def _bundle(
         ballot = frozenset(ballot)
         voters += [shared.setdefault(ballot, ballot)] * count
         groups[label] = groups.get(label, 0) + count
-    e = election(len(labels), voters, tiebreak)
+    e = Election(len(labels), tuple(voters), tiebreak)
     return GadgetBundle(election=e, labels=labels, voter_groups=tuple(groups.items()), **fields)
 
 
@@ -385,7 +385,7 @@ def thiele_witness(k: int, kind: str) -> GadgetBundle:
     return _bundle(
         _labels(("a", k), ("b", k)),
         blocks,
-        b + a,  # prefer b-candidates, then a-candidates
+        (*b, *a),  # prefer b-candidates, then a-candidates
         k=k,
         op_kind=kind,
         budget=1,

@@ -97,12 +97,8 @@ class Election:
 
 
 def election(m: int, ballots: Iterable[Iterable[int]], tiebreak: Sequence[int] | None = None) -> Election:
-    """Convenience constructor normalising ballot containers."""
-    return Election(
-        num_candidates=m,
-        ballots=tuple(frozenset(b) for b in ballots),
-        tiebreak=None if tiebreak is None else tuple(tiebreak),
-    )
+    """Convenience constructor normalising ballot containers; a frozenset ballot is kept as the same object."""
+    return Election(m, tuple(map(frozenset, ballots)), None if tiebreak is None else tuple(tiebreak))
 
 
 def approval_scores(e: Election) -> list[int]:

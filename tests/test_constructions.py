@@ -1,6 +1,8 @@
 """Witness elections, reduction gadgets, and their reference solvers."""
 from __future__ import annotations
 
+import pickle
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +16,7 @@ from mwrobust import (
     count_perfect_matchings,
     covered_x3c_example,
     displacement,
+    election,
     matching_to_sav_counting,
     no_cover_rx3c_n2,
     parse_graph,
@@ -187,6 +190,18 @@ def test_every_candidate_has_one_distinct_label(build, args):
     names = [name for name, _ in bundle.voter_groups]
     assert len(set(names)) == len(names)
     assert sum(count for _, count in bundle.voter_groups) == bundle.election.n
+
+
+@pytest.mark.parametrize("build, args", EVERY_BUILD)
+def test_every_build_is_its_normalised_election(build, args):
+    """A gadget's election is the one ``election()`` makes of its ballots, and survives a pickle round trip."""
+    e = build(*args).election
+    assert e == election(e.m, [sorted(b) for b in e.ballots], e.tiebreak)
+    assert list(e.groups.items()) == list(Counter(e.ballots).items())
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and copy.groups == e.groups
+    if build is not matching_to_sav_counting:  # the other builders assemble voters from blocks
+        assert len({id(b) for b in e.ballots}) == len(e.groups)
 
 
 class TestSavWitnesses:

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mwrobust import (
+    Election,
     approval_scores,
     committee_score,
     election,
@@ -49,6 +51,40 @@ class TestElection:
     def test_priority_defaults_to_index_order(self):
         assert election(3, []).priority() == (0, 1, 2)
         assert election(3, [], tiebreak=(2, 0, 1)).priority() == (2, 0, 1)
+
+
+class TestElectionNormalisesBallots:
+    """``election()`` against its per-voter form: the same ballots, groups order, tie-break and errors."""
+
+    @staticmethod
+    def per_voter(m, ballots, tiebreak=None):
+        return Election(m, tuple(frozenset(b) for b in ballots), None if tiebreak is None else tuple(tiebreak))
+
+    def test_frozenset_ballot_is_kept(self):
+        shared = frozenset({0, 2})
+        e = election(3, [shared, [1], shared])
+        assert e.ballots[0] is shared and e.ballots[2] is shared
+
+    def test_every_container_gives_the_per_voter_election(self):
+        rng = random.Random(2207)
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            ballots = [[c for c in range(m) if rng.random() < 0.5] for _ in range(rng.randint(0, 6))]
+            tiebreak = rng.sample(range(m), m) if rng.random() < 0.5 else None
+            expected = self.per_voter(m, ballots, tiebreak)
+            for form in (list, tuple, set, frozenset):
+                e = election(m, [form(b) for b in ballots], tiebreak)
+                assert e == expected and list(e.groups.items()) == list(expected.groups.items())
+            e = election(m, ((c for c in b) for b in ballots), None if tiebreak is None else iter(tiebreak))
+            assert e == expected and list(e.groups.items()) == list(expected.groups.items())
+
+    def test_out_of_range_names_the_first_voter_and_candidate(self):
+        message = "ballot of voter 1 mentions candidate 7, not in [0, 3)"
+        for ballots in ([[0], [1, 7], [7]], [frozenset({0}), frozenset({7}), frozenset({7, 9})]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                election(3, ballots)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                self.per_voter(3, ballots)
 
 
 class TestScores:

@@ -219,6 +219,25 @@ class TestOneObjectPerBallotType:
             e = parse_election(serialize_election(parse_election(random_text(rng))))
             assert len({id(ballot) for ballot in e.ballots}) == len(e.groups)
 
+    @pytest.mark.parametrize(
+        "bundle, voters",
+        [
+            (rx3c_to_phragmen(triple_cover_rx3c(1)), 8946),
+            (rx3c_to_greedy(no_cover_rx3c_n2(), "cc"), 9122),
+            (rx3c_to_greedy(no_cover_rx3c_n2(), "pav"), 9682),
+        ],
+        ids=["phragmen", "greedy-cc", "greedy-pav"],
+    )
+    def test_parsed_gadgets_at_bench_size(self, bundle, voters):
+        text = serialize_election(bundle.election)
+        e = parse_election(text)
+        assert e == bundle.election and e.n == voters
+        texts = [line.partition(":")[2] for line in text.splitlines()[1:] if not line.startswith("tiebreak:")]
+        ballot_ids = {}
+        for candidates, ballot in zip(texts, e.ballots, strict=True):
+            assert ballot_ids.setdefault(candidates, id(ballot)) == id(ballot)
+        assert len(set(ballot_ids.values())) == len(ballot_ids) == len(e.groups)
+
     def test_parsed_gadget(self):
         e = parse_election(serialize_election(rx3c_to_phragmen(triple_cover_rx3c(1)).election))
         assert len({id(ballot) for ballot in e.ballots}) == len(e.groups) == 8
