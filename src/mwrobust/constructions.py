@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
-from .core import Election, election
+from .core import CapExceeded, Election, election
 from .perturb import Add, Operation, Remove, Swap, _check_kind
-from .rules import ThieleVector, greedy_thiele
+from .rules import DEFAULT_CAP, ThieleVector, greedy_thiele
 
 __all__ = [
     "DEFAULT_MAX_VOTERS",
@@ -226,14 +226,17 @@ def solve_exact_cover(inst: X3CInstance) -> tuple[int, ...] | None:
 
 
 def count_perfect_matchings(g: BipartiteGraph) -> int:
-    """Number of perfect matchings, by dynamic programming over right-side subsets."""
+    """Number of perfect matchings, by dynamic programming over right-side subsets.
+
+    Raises ``CapExceeded`` once its rows have held more than ``DEFAULT_CAP`` subsets in all.
+    """
     if g.left != g.right:
         raise ValueError("perfect matchings need equal-size vertex classes")
     n = g.left
     adjacency = [0] * n
     for u, v in g.edges:
         adjacency[u] |= 1 << v
-    ways = {0: 1}
+    ways, held = {0: 1}, 0
     for u in range(n):
         nxt: dict[int, int] = {}
         for used, cnt in ways.items():
@@ -243,6 +246,9 @@ def count_perfect_matchings(g: BipartiteGraph) -> int:
                 free ^= bit
                 nxt[used | bit] = nxt.get(used | bit, 0) + cnt
         ways = nxt
+        held += len(ways)
+        if held > DEFAULT_CAP:
+            raise CapExceeded(f"holding {held} subsets to count perfect matchings exceeds cap {DEFAULT_CAP}")
     return ways.get((1 << n) - 1, 0)
 
 
@@ -641,6 +647,7 @@ def matching_to_sav_counting(g: BipartiteGraph, mode: str, max_voters: int = DEF
     fillers = 4 * n * size - 2 * edges  # pads each of the 2n vertices to 2 * size ballots
     dummy_count = edges * (size - 2) + fillers * (size - 1)
     _check_voter_count(edges + fillers, max_voters, candidates=2 * n + dummy_count)
+    matchings = count_perfect_matchings(g)
     labels = _labels(("u", n), ("w", n), ("z", dummy_count))
     unused = iter(range(2 * n, len(labels)))  # each ballot takes the next unused dummies
     ballots = [[u, n + v, *islice(unused, size - 2)] for u, v in g.edges]
@@ -650,7 +657,6 @@ def matching_to_sav_counting(g: BipartiteGraph, mode: str, max_voters: int = DEF
                 ballots.append([offset + x, *islice(unused, size - 1)])
     e = election(len(labels), ballots)
     choices = dummy_count - (size - 2) if mode == "add" else size - 2
-    matchings = count_perfect_matchings(g)
     return GadgetBundle(
         election=e,
         k=1,

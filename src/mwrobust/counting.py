@@ -1,8 +1,8 @@
 """Counting perturbation bundles that leave the AV winner set unchanged.
 
 A bundle is an unordered set of exactly ``B`` distinct approval cells to add
-(respectively remove); the election has ``slots`` many addable (removable)
-cells, so ``C(slots, B)`` bundles exist in total.  ``av_count_unchanged``
+(respectively remove); the election has ``cells`` many addable (removable)
+cells, so ``C(cells, B)`` bundles exist in total.  ``av_count_unchanged``
 counts, via dynamic programming over per-candidate score changes, how many
 bundles leave the family of AV-winning committees exactly as it was;
 ``oracle_count_unchanged`` does the same by enumeration, for any rule, with one
@@ -62,19 +62,12 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
     just "every forced candidate ends >= q+1", so one bounded count per ``q``
     covers the rest of the budget.
     """
-    if kind not in COUNT_KINDS:
-        raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
-    _check_k(e, k)
-    n, adds = e.n, kind == "add"
-    scores = approval_scores(e)
-    slots = n * e.m - sum(scores) if adds else sum(scores)
-    if not 0 <= budget <= slots:
-        raise ValueError(f"budget {budget} not in [0, {slots}]")
-    total = math.comb(slots, budget)
+    _, total = _bundle_space(e, k, kind, budget)
     if k == e.m:
         # the only committee is the full candidate set, whatever the scores
         return CountOutcome(total, total)
-    z = tuple(sorted(scores, reverse=True))
+    n, adds = e.n, kind == "add"
+    z = tuple(sorted(approval_scores(e), reverse=True))
     unchanged = 0
     if z[k - 1] > z[k]:
         winners, losers = z[:k], z[k:]
@@ -94,6 +87,18 @@ def av_count_unchanged(e: Election, k: int, kind: str, budget: int) -> CountOutc
         rest = _bounded_ways(adds, n, forced, losers, q + 1, q - 1, budget - block * step)
         unchanged += math.comb(room, step) ** block * rest
     return CountOutcome(unchanged, total)
+
+
+def _bundle_space(e: Election, k: int, kind: str, budget: int) -> tuple[int, int]:
+    """Check a counting question's kind, k and budget, in that order, and return its cells and C(cells, budget)."""
+    if kind not in COUNT_KINDS:
+        raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
+    _check_k(e, k)
+    approvals = sum(approval_scores(e))
+    cells = e.n * e.m - approvals if kind == "add" else approvals
+    if not 0 <= budget <= cells:
+        raise ValueError(f"budget {budget} not in [0, {cells}]")
+    return cells, math.comb(cells, budget)
 
 
 def _bounded_ways(
@@ -160,17 +165,11 @@ def oracle_count_unchanged(
     and orbits <= bundles <= ``cap``.  The bundle count is still what ``cap``
     bounds; it is checked before any winner set exists.
     """
-    if kind not in COUNT_KINDS:
-        raise ValueError(f"counting supports kinds {COUNT_KINDS}, got {kind!r}")
-    _check_k(e, k)
-    # (ballot, its voter count, its moves) per ballot type; a type without moves takes no cell
-    types = [(ballot, count, moves) for ballot, count in e.groups.items() if (moves := _moves(kind, ballot, e.m)[0])]
-    cells = sum(count * len(moves) for _, count, moves in types)
-    if not 0 <= budget <= cells:
-        raise ValueError(f"budget {budget} not in [0, {cells}]")
-    total = math.comb(cells, budget)
+    cells, total = _bundle_space(e, k, kind, budget)
     if total > cap:
         raise CapExceeded(f"enumerating C({cells},{budget}) bundles exceeds cap {cap}")
+    # (ballot, its voter count, its moves) per ballot type; a type without moves takes no cell
+    types = [(ballot, count, moves) for ballot, count in e.groups.items() if (moves := _moves(kind, ballot, e.m)[0])]
     base = winner_set(e, k, rule, cap)
     edit = frozenset.union if kind == "add" else frozenset.difference
     unchanged = covered = 0

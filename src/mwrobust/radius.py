@@ -19,7 +19,7 @@ from itertools import chain, repeat
 
 from .core import CapExceeded, Election, _profile_after, approval_scores, sav_scores
 from .perturb import Operation, _after, _check_kind, _voter_ops
-from .rules import DEFAULT_CAP, RuleSpec, winner_set, winner_sets_equal, winners_separable
+from .rules import DEFAULT_CAP, RuleSpec, _check_k, winner_set, winner_sets_equal, winners_separable
 
 __all__ = [
     "ExceedsBound",
@@ -90,30 +90,30 @@ def av_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
     With scores ``z_1 >= ... >= z_m``, the winner family changes exactly when
     the (sorted) boundary between positions k and k+1 moves.  Additions can
     only raise scores, removals only lower them, and one swap moves one unit
-    from one candidate to another, which gives closed forms in each case:
+    from one candidate to another, which gives closed forms:
 
-    * strict gap ``z_k > z_{k+1}``: close it against ``c_{k+1}`` (adds), or
-      against ``c_k`` (removals), or from both ends at once (swaps, so
-      ``ceil(gap/2)``);
     * tie at the boundary: one operation on a tied candidate splits the pool,
-      feasibility permitting;
-    * saturated ties (everyone at ``n`` for adds, at ``0`` for removals):
-      the cheapest escape is raising the best non-saturated candidate to
-      ``n``, respectively erasing the lowest-scoring positive candidate.
+      feasibility permitting (``_tied_radius``);
+    * otherwise, or for adds on a pool every ballot approves, the family
+      changes once the best score below ``z_k`` meets it: the gap closes
+      against that candidate (adds), against ``c_k`` (removals), or from both
+      ends (swaps, so ``ceil(gap/2)``).  With nothing below ``z_k`` (k = m, or
+      every candidate tied and in every ballot) nothing changes the family.
     """
-    _check_radius_args(e, k, kind)
+    _check_kind(kind)
+    _check_k(e, k)
     scores = approval_scores(e)
     z = sorted(scores, reverse=True)
-    zk, zk1 = z[k - 1], z[k]
-    if zk > zk1:
-        return Finite((zk - zk1 + 1) // 2 if kind == "swap" else zk - zk1)
-    tied = _tied_radius(e, {c for c in range(e.m) if scores[c] == zk}, scores, kind)
-    if tied is not None:
-        return tied
-    # adds with the boundary tied at n (= zk): every add-reachable change
-    # must lift some below-n candidate all the way to n
+    zk = z[k - 1]
+    if z[k : k + 1] == [zk]:
+        tied = _tied_radius(e, {c for c in range(e.m) if scores[c] == zk}, scores, kind)
+        if tied is not None:
+            return tied
     below = [s for s in z if s < zk]
-    return Finite(zk - max(below)) if below else Impossible()
+    if not below:
+        return Impossible()
+    gap = zk - below[0]
+    return Finite((gap + 1) // 2 if kind == "swap" else gap)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +130,9 @@ def sav_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
     unique winning committee ``X``, and the family changes exactly when some
     outsider ``y`` catches up with some ``x in X``; for each pair the
     cheapest schedule of operations is greedy in the per-vote score
-    transfer, and the radius is the best pair.
+    transfer, and the radius is the best pair (``Impossible`` at k = m: no outsider).
     """
-    _check_radius_args(e, k, kind)
+    _check_kind(kind)
     ws = winners_separable(e, k, "sav")
     scores = sav_scores(e)
     if ws.slots < len(ws.pool):
@@ -143,17 +143,16 @@ def sav_radius(e: Election, k: int, kind: str) -> Finite | Impossible:
         # add ever breaks their tie; the family changes only once some
         # outsider is approved in every vote as well.  That is the same
         # pair-greedy as in the resolute case, with any pool member as x.
-        if len(ws.pool) == e.m:
-            return Impossible()
         return _min_pair_cost(e, "add", scores, [(min(ws.pool), y) for y in range(e.m) if y not in ws.pool])
     winners = sorted(ws.forced | ws.pool)
     losers = [c for c in range(e.m) if c not in ws.forced and c not in ws.pool]
     return _min_pair_cost(e, kind, scores, [(x, y) for x in winners for y in losers])
 
 
-def _min_pair_cost(e: Election, kind: str, scores, pairs) -> Finite:
-    """The cheapest pair of ``pairs``: fewest ops of ``kind`` making some y's SAV score reach its x's."""
-    return Finite(min(_sav_pair_cost(e, kind, x, y, scores[x] - scores[y]) for x, y in pairs))
+def _min_pair_cost(e: Election, kind: str, scores, pairs) -> Finite | Impossible:
+    """Fewest ops of ``kind`` making some y's SAV score reach its x's over ``pairs``; ``Impossible`` if none."""
+    cost = min((_sav_pair_cost(e, kind, x, y, scores[x] - scores[y]) for x, y in pairs), default=None)
+    return Impossible() if cost is None else Finite(cost)
 
 
 def _sav_pair_cost(e: Election, kind: str, x: int, y: int, delta: Fraction) -> int:
@@ -376,9 +375,3 @@ def robustness_radius(
     if budget is None:
         raise ValueError("method 'oracle' needs a budget")
     return oracle_radius(e, k, rule, kind, max_budget=budget, cap=cap), method, "bfs-oracle"
-
-
-def _check_radius_args(e: Election, k: int, kind: str) -> None:
-    _check_kind(kind)
-    if not 1 <= k < e.m:
-        raise ValueError(f"radius needs 1 <= k < m, got k={k}, m={e.m}")

@@ -299,6 +299,40 @@ class TestCount:
         assert err == {"error": f"committee size k={k} must satisfy 1 <= k <= m=4", "exit_code": 2}
 
 
+class TestCommitteeSizeRule:
+    """Every question takes the same committee sizes, 1 <= k <= m; k = m is answered, not refused."""
+
+    QUESTIONS = {
+        "radius-exact-av": ("radius", "--rule", "av", "--method", "exact"),
+        "radius-exact-sav": ("radius", "--rule", "sav", "--method", "exact"),
+        "radius-oracle": ("radius", "--rule", "av", "--method", "oracle", "--budget", "2"),
+        "count": ("count", "--rule", "av", "--budget", "2"),
+        "level": ("level", "--rule", "av"),
+    }
+
+    @pytest.fixture
+    def six_path(self, tmp_path):
+        path = tmp_path / "six.elec"
+        path.write_text("m 4 n 6\n0: 0\n1: 1\n2: 2\n3: 0 1\n4: 2 3\n5: 3\n")
+        return str(path)
+
+    @pytest.mark.parametrize("question", QUESTIONS)
+    def test_k_equals_m_is_answered(self, capsys, six_path, question):
+        command, *options = self.QUESTIONS[question]
+        code, payload, err = invoke(capsys, command, six_path, "--k", "4", "--op", "add", *options)
+        assert (code, err) == (0, None)
+        if question.startswith("radius-exact"):
+            assert payload["radius"] == {"outcome": "impossible"}
+
+    @pytest.mark.parametrize("k", ("0", "5"))
+    @pytest.mark.parametrize("question", QUESTIONS)
+    def test_k_outside_one_to_m_is_refused(self, capsys, six_path, question, k):
+        command, *options = self.QUESTIONS[question]
+        code, payload, err = invoke(capsys, command, six_path, "--k", k, "--op", "add", *options)
+        assert (code, payload) == (2, "")
+        assert err == {"error": f"committee size k={k} must satisfy 1 <= k <= m=4", "exit_code": 2}
+
+
 class TestLevel:
     def test_split_vote(self, capsys, tmp_path):
         path = tmp_path / "split.elec"

@@ -10,6 +10,7 @@ import pytest
 
 from mwrobust import (
     BipartiteGraph,
+    CapExceeded,
     RX3CInstance,
     X3CInstance,
     apply,
@@ -38,6 +39,7 @@ from mwrobust import (
     winner_sets_equal,
     x3c_to_thiele,
 )
+from mwrobust import constructions
 
 KINDS = ("add", "remove", "swap")
 
@@ -169,6 +171,23 @@ class TestMatchingCounter:
     def test_unbalanced(self):
         with pytest.raises(ValueError):
             count_perfect_matchings(BipartiteGraph(2, 3, ()))
+
+    def test_subsets_held_are_bounded(self, monkeypatch):
+        # complete K_{n,n} holds 2^n - 1 subsets over its n rows: K6,6 holds 63; K8,8 passes 100 at row 4 (8+28+56+70)
+        monkeypatch.setattr(constructions, "DEFAULT_CAP", 100)
+        assert count_perfect_matchings(complete_bipartite(6)) == 720
+        with pytest.raises(CapExceeded, match=r"^holding 162 subsets to count perfect matchings exceeds cap 100$"):
+            count_perfect_matchings(complete_bipartite(8))
+
+    def test_gadget_counts_before_building(self, monkeypatch):
+        monkeypatch.setattr(constructions, "DEFAULT_CAP", 100)
+        monkeypatch.setattr(constructions, "_labels", None)  # the candidates and ballots come after it
+        with pytest.raises(CapExceeded):
+            matching_to_sav_counting(complete_bipartite(8), "add")
+
+
+def complete_bipartite(n):
+    return BipartiteGraph(n, n, tuple((u, v) for u in range(n) for v in range(n)))
 
 
 EVERY_BUILD = (

@@ -73,8 +73,7 @@ class TestAvRadius:
         e = election(2, [[0]])
         with pytest.raises(ValueError):
             av_radius(e, 0, "add")
-        with pytest.raises(ValueError):
-            av_radius(e, 2, "add")
+        assert av_radius(e, 2, "add") == Impossible()
         with pytest.raises(ValueError):
             av_radius(e, 1, "flip")
 
@@ -235,6 +234,38 @@ class TestSavAgainstOracle:
                                 assert brute == ExceedsBound(budget), (e, k, kind)
                             checked += 1
         assert checked == 43_086
+
+
+class TestOneCommitteeSizeRule:
+    """The radii take the 1 <= k <= m that every question takes; at k = m no operation changes the one committee."""
+
+    TINY = [(m, n) for m in (1, 2, 3) for n in (0, 1, 2, 3)] + [(4, n) for n in (0, 1, 2)]
+
+    @pytest.mark.parametrize("kind", ("add", "remove", "swap"))
+    def test_every_candidate_elected_is_impossible(self, kind):
+        from common import all_elections
+
+        for m, n in self.TINY:
+            rules = [preset_rule(name, m) for name in ("av", "sav")]
+            for e in all_elections(m, n):
+                assert av_radius(e, m, kind) == Impossible(), e
+                assert sav_radius(e, m, kind) == Impossible(), e
+                for rule in rules:
+                    assert oracle_radius(e, m, rule, kind, max_budget=3) in (Impossible(), ExceedsBound(3)), e
+
+    @pytest.mark.parametrize("kind", ("add", "remove", "swap"))
+    def test_k_outside_one_to_m_is_refused(self, kind):
+        from common import all_elections
+
+        for m, n in self.TINY:
+            for e in all_elections(m, n):
+                for k in (0, m + 1):
+                    message = rf"^committee size k={k} must satisfy 1 <= k <= m={m}$"
+                    for radius in (av_radius, sav_radius):
+                        with pytest.raises(ValueError, match=message):
+                            radius(e, k, kind)
+                    with pytest.raises(ValueError, match=message):
+                        oracle_radius(e, k, preset_rule("av", 1), kind, max_budget=3)
 
 
 def radius_decision(e, k, rule, kind, budget):
