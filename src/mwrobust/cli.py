@@ -40,8 +40,9 @@ _JSON_SAFE_INT = 2**53
 
 def parse_election(text: str) -> Election:
     """Parse the election format: header ``m <count> n <count>``, one
-    ``<voter>: <candidates>`` line per voter (strictly increasing indices,
-    possibly empty), an optional ``tiebreak: <permutation>`` line, and
+    ``<voter>: <candidates>`` line for each voter ``0..n-1`` exactly once, in
+    any order (its candidate indices strictly increasing, possibly none), an
+    optional ``tiebreak: <permutation>`` line, and
     ``#`` comments.  Numbers are ASCII decimal digits, optionally after a ``-``.
     The candidate count is at most ``DEFAULT_MAX_VOTERS``, the limit gadgets obey.
 

@@ -67,6 +67,8 @@ class Election:
     (first entry = highest priority); ``None`` means ascending index.
     ``groups`` maps each distinct ballot to its number of voters, in no set
     order; it is derived, not a field, and must not be mutated.
+    ``rules.winner_set`` keeps its last answer for the election in one slot,
+    ``_last_winners``; equality, hash, ``repr``, copies and pickles ignore it.
     """
 
     num_candidates: int
@@ -84,6 +86,9 @@ class Election:
         if self.tiebreak is not None and sorted(self.tiebreak) != list(range(m)):
             raise ValueError(f"tiebreak must be a permutation of 0..{m - 1}, got {self.tiebreak}")
         object.__setattr__(self, "groups", groups)
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_last_winners"}
 
     @property
     def m(self) -> int:

@@ -202,7 +202,8 @@ def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = 
     adversary picks a pre-perturbation winning committee, and the distance
     to the best-matching post-perturbation winning committee is measured in
     replaced seats.  Both families are expanded explicitly (subject to
-    ``cap``).
+    ``cap``).  ``e``'s own winners are the last answer ``winner_set`` keeps on
+    ``e``, so a sweep with one ``(k, rule, cap)`` runs one kernel per operation.
     """
     before = winner_set(e, k, rule, cap).committees(cap)
     return _drift(before, _perturbed(e, op), k, rule, cap)
@@ -211,7 +212,7 @@ def displacement(e: Election, k: int, rule: RuleSpec, op: Operation, cap: int = 
 def _drift(before: Sequence[Sequence[int]], after: _Profile, k: int, rule: RuleSpec, cap: int) -> int:
     """``displacement`` from the committees ``before`` to the winners of ``after``."""
     after_sets = [frozenset(w) for w in winner_set(after, k, rule, cap).committees(cap)]
-    return max(min(k - len(frozenset(w) & w2) for w2 in after_sets) for w in before)
+    return max(min(k - len(w2.intersection(w)) for w2 in after_sets) for w in before)
 
 
 def level_argmax(

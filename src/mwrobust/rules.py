@@ -383,14 +383,26 @@ WINNER_PROVENANCE = {
 
 
 def winner_set(e: Election, k: int, rule: RuleSpec, cap: int = DEFAULT_CAP) -> WinnerSet:
-    """The rule's winner set; resolute rules yield a singleton family."""
+    """The rule's winner set; resolute rules yield a singleton family.
+
+    An ``Election`` keeps its last answer in one slot, not a field: the same ``(k, rule, cap)`` again returns
+    that frozen object without a kernel run, another question replaces it, and a call that raises stores nothing.
+    """
+    key = (k, type(k), cap)  # a float k equal to an int one fails in some kernels
+    last = e.__dict__.get("_last_winners") if isinstance(e, Election) else None
+    if last is not None and last[0] == key and (last[1] is rule or last[1] == rule):
+        return last[2]
     if rule.kind in ("av", "sav"):
-        return winners_separable(e, k, rule.kind)
-    if rule.kind == "thiele":
-        return winners_thiele(e, k, rule.omega, cap)
-    if rule.kind == "greedy":
-        return ExplicitWinners((greedy_thiele(e, k, rule.omega),))
-    return ExplicitWinners((phragmen(e, k),))
+        ws = winners_separable(e, k, rule.kind)
+    elif rule.kind == "thiele":
+        ws = winners_thiele(e, k, rule.omega, cap)
+    elif rule.kind == "greedy":
+        ws = ExplicitWinners((greedy_thiele(e, k, rule.omega),))
+    else:
+        ws = ExplicitWinners((phragmen(e, k),))
+    if isinstance(e, Election):
+        object.__setattr__(e, "_last_winners", (key, rule, ws))
+    return ws
 
 
 def _check_k(e: Election, k: int) -> None:
