@@ -22,7 +22,8 @@ from .core import CapExceeded, Election, approval_scores, render_diff_matrix, sa
 from .counting import count_unchanged
 from .perturb import OP_KINDS, Operation, level_argmax, op_kind
 from .radius import ExceedsBound, Finite, robustness_radius
-from .rules import DEFAULT_CAP, PRESETS, WINNER_PROVENANCE, ThieleVector, ThresholdWinners, preset_rule, winner_set
+from .rules import DEFAULT_CAP, PRESETS, WINNER_PROVENANCE, RuleSpec, ThieleVector, ThresholdWinners, _check_k
+from .rules import preset_rule, winner_set
 
 WITNESS_FAMILIES = ("sav-add", "sav-remove", "thiele-add", "thiele-remove", "thiele-swap")
 REDUCE_TARGETS = ("thiele", "greedy-cc", "greedy-pav", "phragmen", "sav-count")
@@ -181,8 +182,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_election(path: str) -> Election:
-    return parse_election(_read_text(path))
+def _load_question(args: argparse.Namespace) -> tuple[Election, RuleSpec]:
+    """The question's election and rule; ``k`` is checked first, so a preset never sizes weights by a bad k."""
+    e = parse_election(_read_text(args.election))
+    _check_k(e, args.k)
+    return e, preset_rule(args.rule, args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,7 @@ def _load_election(path: str) -> Election:
 
 
 def _run_winners(args: argparse.Namespace) -> dict:
-    e = _load_election(args.election)
-    rule = preset_rule(args.rule, args.k)
+    e, rule = _load_question(args)
     ws = winner_set(e, args.k, rule, cap=args.cap)
     extra = {"winners": _winner_set_json(ws, args.cap)}
     if args.rule == "av":
@@ -202,9 +205,9 @@ def _run_winners(args: argparse.Namespace) -> dict:
 
 
 def _run_radius(args: argparse.Namespace) -> dict:
-    e = _load_election(args.election)
+    e, rule = _load_question(args)
     outcome, method, provenance = robustness_radius(
-        e, args.k, preset_rule(args.rule, args.k), args.op, method=args.method, budget=args.budget, cap=args.cap
+        e, args.k, rule, args.op, method=args.method, budget=args.budget, cap=args.cap
     )
     extra = {"radius": _radius_json(outcome)}
     if args.budget is not None:
@@ -213,9 +216,9 @@ def _run_radius(args: argparse.Namespace) -> dict:
 
 
 def _run_count(args: argparse.Namespace) -> dict:
-    e = _load_election(args.election)
+    e, rule = _load_question(args)
     outcome, method, provenance = count_unchanged(
-        e, args.k, preset_rule(args.rule, args.k), args.op, args.budget, method=args.method, cap=args.cap
+        e, args.k, rule, args.op, args.budget, method=args.method, cap=args.cap
     )
     return _result(
         args,
@@ -229,8 +232,8 @@ def _run_count(args: argparse.Namespace) -> dict:
 
 
 def _run_level(args: argparse.Namespace) -> dict:
-    e = _load_election(args.election)
-    level, op = level_argmax(e, args.k, preset_rule(args.rule, args.k), args.op, cap=args.cap)
+    e, rule = _load_question(args)
+    level, op = level_argmax(e, args.k, rule, args.op, cap=args.cap)
     return _result(
         args,
         "exhaustive-operations",
@@ -295,8 +298,8 @@ def _run_reduce(args: argparse.Namespace) -> dict:
 
 
 def _run_diff(args: argparse.Namespace) -> None:
-    before = _load_election(args.before)
-    after = _load_election(args.after)
+    before = parse_election(_read_text(args.before))
+    after = parse_election(_read_text(args.after))
     print(render_diff_matrix(before, after))
     return None
 

@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import CapExceeded, Election, election
+from .core import CapExceeded, Election
 from .perturb import Add, Operation, Remove, Swap, _check_kind
 from .rules import DEFAULT_CAP, ThieleVector, greedy_thiele
 
@@ -83,11 +83,7 @@ class RX3CInstance(X3CInstance):
         super().__post_init__()
         if len(self.sets) != self.universe_size:
             raise ValueError(f"restricted instance needs {self.universe_size} sets, got {len(self.sets)}")
-        degree = [0] * self.universe_size
-        for s in self.sets:
-            for x in s:
-                degree[x] += 1
-        bad = [x for x, dd in enumerate(degree) if dd != 3]
+        bad = [x for x, holders in enumerate(_containing(self)) if len(holders) != 3]
         if bad:
             raise ValueError(f"elements {bad} are not in exactly 3 sets")
 
@@ -114,6 +110,15 @@ class BipartiteGraph:
         return sum(1 for edge in self.edges if edge[idx] == x)
 
 
+def _containing(inst: X3CInstance) -> list[list[int]]:
+    """For each universe element, the indices of the sets holding it, in increasing order."""
+    containing: list[list[int]] = [[] for _ in range(inst.universe_size)]
+    for i, s in enumerate(inst.sets):
+        for x in s:
+            containing[x].append(i)
+    return containing
+
+
 # ---------------------------------------------------------------------------
 # Instance file formats
 
@@ -122,11 +127,7 @@ def parse_x3c(text: str) -> X3CInstance:
     """Parse ``universe <3k>`` followed by ``set e1 e2 e3`` lines ('#' comments allowed)."""
     universe: int | None = None
     sets: list[frozenset[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         if fields[0] == "universe":
             if universe is not None:
                 raise ValueError(f"line {lineno}: duplicate universe declaration")
@@ -152,11 +153,7 @@ def parse_graph(text: str) -> BipartiteGraph:
     """Parse ``left <n>`` / ``right <n>`` followed by ``edge u v`` lines."""
     sides: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         if fields[0] not in ("left", "right", "edge"):
             raise ValueError(f"line {lineno}: expected 'left', 'right' or 'edge', got {fields[0]!r}")
         if len(fields) != (3 if fields[0] == "edge" else 2):
@@ -170,6 +167,14 @@ def parse_graph(text: str) -> BipartiteGraph:
     if len(sides) < 2:
         raise ValueError("missing left/right declarations")
     return BipartiteGraph(sides["left"], sides["right"], tuple(edges))
+
+
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and whitespace-separated fields of each line of ``text`` that holds any before a '#'."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
 
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")
@@ -205,10 +210,7 @@ def solve_exact_cover(inst: X3CInstance) -> tuple[int, ...] | None:
     Backtracking on the lowest uncovered element; fine for the instance
     sizes the gadgets use.
     """
-    containing: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for i, s in enumerate(inst.sets):
-        for x in s:
-            containing[x].append(i)
+    containing = _containing(inst)
 
     def extend(covered: frozenset[int], chosen: tuple[int, ...]) -> tuple[int, ...] | None:
         if len(covered) == inst.universe_size:
@@ -289,7 +291,8 @@ def _bundle(
 ) -> GadgetBundle:
     """The gadget over ``labels`` whose voters are ``blocks`` in order, equal ballots sharing a frozenset.
 
-    ``voter_groups`` totals each block label in first-seen order; ``fields`` are the bundle's other fields.
+    ``voter_groups`` totals each block label in first-seen order, a label of zero voters included; ``fields`` are
+    the bundle's other fields.
     """
     shared: dict[frozenset[int], frozenset[int]] = {}
     voters: list[frozenset[int]] = []
@@ -438,10 +441,7 @@ def x3c_to_thiele(inst: X3CInstance, alpha: Fraction, kind: str, max_voters: int
     _check_voter_count(inst.universe_size + m_sets * m_sets * ell + pivots, max_voters)
     set_cand = list(range(m_sets))
     slot_cand = list(range(m_sets, m_sets + k))
-    blocks: list[Block] = [
-        ("element", [slot_cand[x // 3]] + [j for j in set_cand if x in inst.sets[j]], 1)
-        for x in range(inst.universe_size)
-    ]
+    blocks: list[Block] = [("element", [slot_cand[x // 3], *holders], 1) for x, holders in enumerate(_containing(inst))]
     blocks += [("set-slot", [j, i], ell) for j in set_cand for i in slot_cand]
     blocks += [("set-filler", [j], (m_sets - k) * ell) for j in set_cand]
     blocks.append(("pivot", [slot_cand[0]], pivots))
@@ -482,7 +482,6 @@ def rx3c_to_greedy(
     """
     if variant not in ("cc", "pav"):
         raise ValueError(f"variant must be 'cc' or 'pav', got {variant!r}")
-    _check_kind(kind)
     n = inst.cover_size
     nsets = 3 * n
     T = 10 * n**5
@@ -499,9 +498,7 @@ def rx3c_to_greedy(
     blocks: list[Block] = [("set-singleton", [i], T) for i in range(nsets)]
     blocks += [("set-pair", [i, j], T) for i in range(nsets) for j in range(i + 1, nsets)]
     blocks.append(("p-and-d", [p, d], pd_count))
-    blocks += [
-        ("element", [d] + [i for i in range(nsets) if x in inst.sets[i]], t) for x in range(inst.universe_size)
-    ]
+    blocks += [("element", [d, *holders], t) for holders in _containing(inst)]
     if p_only:
         blocks.append(("p-only", [p], p_only))
     k = nsets + 1
@@ -538,7 +535,6 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     ``t/(3n)`` also approve ``d``; ``T + 3t^2 - 2t`` voters for ``{p, d}``;
     ``t/(6n)`` voters for ``p`` alone; plus operation padding.
     """
-    _check_kind(kind)
     n = inst.cover_size
     nsets = 3 * n
     T, t, pd_count, p_only, with_d = _phragmen_sizes(n)
@@ -548,9 +544,8 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
     total = nsets * T + inst.universe_size * t * t + pd_count + p_only + sum(c for _, _, c in padding)
     _check_voter_count(total, max_voters)
     blocks: list[Block] = [("set-singleton", [i], T) for i in range(nsets)]
-    for x in range(inst.universe_size):
-        containing = [i for i in range(nsets) if x in inst.sets[i]]
-        blocks += [("element", containing, t * t - with_d), ("element", [d] + containing, with_d)]
+    for holders in _containing(inst):
+        blocks += [("element", holders, t * t - with_d), ("element", [d, *holders], with_d)]
     blocks += [("p-and-d", [p, d], pd_count), ("p-only", [p], p_only)]
     return _bundle(
         _labels(("S", nsets), ("d", None), ("p", None), ("x", dummies)),
@@ -564,13 +559,14 @@ def rx3c_to_phragmen(inst: RX3CInstance, kind: str = "add", max_voters: int = DE
 
 
 def _reduction_padding(kind: str, n: int, nsets: int) -> tuple[int, list[Block], int]:
-    """Dummy candidates, padding voter blocks and budget for the three operation kinds.
+    """Dummy candidates, padding voter blocks and budget for the three operation kinds; any other is refused.
 
     Additions use ``n`` empty voters (budget n); removals use one extra
     approval per set candidate (budget 2n); swaps use ``n`` voters approving
     throwaway dummy candidates (budget n), so each swap can both donate an
     approval and discard one.  Dummies follow the sets, ``p`` and ``d``.
     """
+    _check_kind(kind)
     if kind == "add":
         return 0, [("padding", [], n)], n
     if kind == "remove":
@@ -650,21 +646,20 @@ def matching_to_sav_counting(g: BipartiteGraph, mode: str, max_voters: int = DEF
     matchings = count_perfect_matchings(g)
     labels = _labels(("u", n), ("w", n), ("z", dummy_count))
     unused = iter(range(2 * n, len(labels)))  # each ballot takes the next unused dummies
-    ballots = [[u, n + v, *islice(unused, size - 2)] for u, v in g.edges]
+    blocks: list[Block] = [("edge", [], 0)]  # keeps ("edge", 0) in voter_groups when the graph has no edges
+    blocks += [("edge", [u, n + v, *islice(unused, size - 2)], 1) for u, v in g.edges]
     for side, offset in (("left", 0), ("right", n)):
         for x in range(n):
             for _ in range(2 * size - g.degree(side, x)):
-                ballots.append([offset + x, *islice(unused, size - 1)])
-    e = election(len(labels), ballots)
+                blocks.append(("filler", [offset + x, *islice(unused, size - 1)], 1))
     choices = dummy_count - (size - 2) if mode == "add" else size - 2
-    return GadgetBundle(
-        election=e,
+    return _bundle(
+        labels,
+        blocks,
         k=1,
         op_kind=mode,
         budget=n,
         note="the number of unchanged budget-n bundles equals (#perfect matchings) * (dummy choices)^n",
-        labels=labels,
-        voter_groups=(("edge", len(g.edges)), ("filler", fillers)),
         info={
             "mode": mode,
             "n": n,

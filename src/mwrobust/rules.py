@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -189,20 +190,16 @@ WinnerSet = ThresholdWinners | ExplicitWinners
 def winner_sets_equal(a: WinnerSet, b: WinnerSet, cap: int = DEFAULT_CAP) -> bool:
     """Whether two winner sets denote the same family of committees.
 
-    Threshold forms are canonical as long as ``slots < |pool|`` (the forced
-    part is then exactly the intersection of all committees), so two
-    non-degenerate threshold forms are compared field-wise.  Degenerate or
-    mixed representations fall back to explicit enumeration, capped.
+    Two threshold forms with equal counts are both single committees (count 1, ``slots == |pool|``),
+    compared as such, or both canonical (``slots < |pool|``: the forced part is then exactly the
+    intersection of all committees), compared field-wise.  Explicit or mixed forms are enumerated, capped.
     """
     if a.count() != b.count():
         return False
     if isinstance(a, ThresholdWinners) and isinstance(b, ThresholdWinners):
-        if (a.forced, a.pool, a.slots) == (b.forced, b.pool, b.slots):
-            return True
-        if a.count() == 1:  # both degenerate: compare the single committees
-            return frozenset(a.forced | a.pool) == frozenset(b.forced | b.pool)
-        if a.slots < len(a.pool) and b.slots < len(b.pool):
-            return False  # canonical forms differ
+        if a.count() == 1:
+            return a.forced | a.pool == b.forced | b.pool
+        return (a.forced, a.pool, a.slots) == (b.forced, b.pool, b.slots)
     return a.committees(cap) == b.committees(cap)
 
 
@@ -388,7 +385,7 @@ def winner_set(e: Election, k: int, rule: RuleSpec, cap: int = DEFAULT_CAP) -> W
     An ``Election`` keeps its last answer in one slot, not a field: the same ``(k, rule, cap)`` again returns
     that frozen object without a kernel run, another question replaces it, and a call that raises stores nothing.
     """
-    key = (k, type(k), cap)  # a float k equal to an int one fails in some kernels
+    key = (k, type(k), cap)  # so a float k, which _check_k refuses, never hits the slot of an equal int
     last = e.__dict__.get("_last_winners") if isinstance(e, Election) else None
     if last is not None and last[0] == key and (last[1] is rule or last[1] == rule):
         return last[2]
@@ -406,5 +403,9 @@ def winner_set(e: Election, k: int, rule: RuleSpec, cap: int = DEFAULT_CAP) -> W
 
 
 def _check_k(e: Election, k: int) -> None:
-    if not 1 <= k <= e.m:
+    try:
+        fits = 1 <= operator.index(k) <= e.m
+    except TypeError:
+        raise ValueError(f"committee size k={k!r} must be an integer") from None
+    if not fits:
         raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m={e.m}")

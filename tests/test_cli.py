@@ -332,6 +332,35 @@ class TestCommitteeSizeRule:
         assert (code, payload) == (2, "")
         assert err == {"error": f"committee size k={k} must satisfy 1 <= k <= m=4", "exit_code": 2}
 
+    OPTIONS = {
+        "winners": (),
+        "radius": ("--op", "add", "--budget", "2"),
+        "count": ("--op", "add", "--budget", "2"),
+        "level": ("--op", "add"),
+    }
+
+    @pytest.mark.parametrize("k", ("0", "5"))
+    @pytest.mark.parametrize("command", OPTIONS)
+    @pytest.mark.parametrize("preset", rules.PRESETS)
+    def test_every_preset_refuses_k_outside_one_to_m(self, capsys, six_path, preset, command, k):
+        code, payload, err = invoke(capsys, command, six_path, "--rule", preset, "--k", k, *self.OPTIONS[command])
+        assert (code, payload) == (2, "")
+        assert err == {"error": f"committee size k={k} must satisfy 1 <= k <= m=4", "exit_code": 2}
+
+    def test_k_checked_before_a_preset_sizes_its_weights(self, capsys, tmp_path):
+        # pav sized to k = 10^7 would build ten million Fractions, over a gigabyte
+        path = tmp_path / "two.elec"
+        path.write_text("m 2 n 1\n0: 0\n")
+        tracemalloc.start()
+        try:
+            code, payload, err = invoke(capsys, "winners", str(path), "--rule", "pav", "--k", "10000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, payload) == (2, "")
+        assert err == {"error": "committee size k=10000000 must satisfy 1 <= k <= m=2", "exit_code": 2}
+        assert peak < 10_000_000
+
 
 class TestLevel:
     def test_split_vote(self, capsys, tmp_path):

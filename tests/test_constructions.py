@@ -4,6 +4,7 @@ from __future__ import annotations
 import pickle
 from collections import Counter
 from fractions import Fraction
+from itertools import count, islice
 from math import comb
 
 import pytest
@@ -219,8 +220,7 @@ def test_every_build_is_its_normalised_election(build, args):
     assert list(e.groups.items()) == list(Counter(e.ballots).items())
     copy = pickle.loads(pickle.dumps(e))
     assert copy == e and copy.groups == e.groups
-    if build is not matching_to_sav_counting:  # the other builders assemble voters from blocks
-        assert len({id(b) for b in e.ballots}) == len(e.groups)
+    assert len({id(b) for b in e.ballots}) == len(e.groups)
 
 
 class TestSavWitnesses:
@@ -507,6 +507,26 @@ class TestMatchingGadget:
         if e.m > e.n:
             with pytest.raises(ValueError, match=f"^instance would materialise {e.m} candidates"):
                 matching_to_sav_counting(graph, mode, max_voters=e.m - 1)
+
+    @pytest.mark.parametrize("mode", ["add", "remove"])
+    @pytest.mark.parametrize("edges", [
+        (),
+        ((0, 1), (1, 2), (2, 0)),
+        tuple((u, v) for u in range(3) for v in range(3) if (u, v) != (1, 2)),
+    ], ids=["edgeless", "perfect-matching", "dense"])
+    def test_equals_a_bundle_built_by_hand(self, edges, mode):
+        n = 3
+        size = n if mode == "add" else n * n
+        dummies = count(2 * n)
+        ballots = [[u, n + v, *islice(dummies, size - 2)] for u, v in edges]
+        for vertex in range(2 * n):
+            degree = sum(vertex in (u, n + v) for u, v in edges)
+            ballots += [[vertex, *islice(dummies, size - 1)] for _ in range(2 * size - degree)]
+        m = next(dummies)
+        bundle = matching_to_sav_counting(BipartiteGraph(n, n, edges), mode)
+        assert bundle.election == election(m, ballots)
+        assert bundle.labels == ("u1", "u2", "u3", "w1", "w2", "w3", *(f"z{i + 1}" for i in range(m - 2 * n)))
+        assert bundle.voter_groups == (("edge", len(edges)), ("filler", len(ballots) - len(edges)))
 
     def test_size_checked_before_building(self):
         # 55,296 voters, under the default limit, but about 32 million dummy candidates

@@ -132,7 +132,7 @@ class TestQuestionOrder:
         e = election(3, [[0], [1, 2]])
         av = preset_rule("av", 2)
         winner_set(e, 2, av)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^committee size k=2\.0 must be an integer$"):
             winner_set(e, 2.0, av)
 
 

@@ -3,28 +3,34 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwrobust import (
+    Add,
     CapExceeded,
     ExplicitWinners,
     RuleSpec,
     ThieleVector,
     ThresholdWinners,
     committee_score,
+    count_unchanged,
+    displacement,
     election,
     greedy_thiele,
+    level_argmax,
     phragmen,
     phragmen_trace,
     preset_rule,
+    robustness_radius,
     winner_set,
     winner_sets_equal,
     winners_separable,
     winners_thiele,
 )
+from mwrobust.rules import PRESETS
 
 from common import random_election
 
@@ -135,6 +141,38 @@ class TestWinnerSetsEqual:
         b = ThresholdWinners(forced=frozenset({1}), pool=frozenset({0, 2}), slots=1)
         assert not winner_sets_equal(a, b)
         assert winner_sets_equal(a, ThresholdWinners(forced=frozenset({0}), pool=frozenset({1, 2}), slots=1))
+
+    def test_every_pair_of_threshold_forms_at_m4_agrees_with_expansion(self):
+        forms = []
+        for roles in product(("forced", "pool", "out"), repeat=4):
+            forced = frozenset(c for c, role in enumerate(roles) if role == "forced")
+            pool = frozenset(c for c, role in enumerate(roles) if role == "pool")
+            forms += [ThresholdWinners(forced, pool, slots) for slots in range(1, len(pool) + 1)]
+        expanded = {form: form.committees() for form in forms}
+        assert len(expanded) == 108
+        for a in forms:
+            for b in forms:
+                assert winner_sets_equal(a, b) == (expanded[a] == expanded[b])
+
+
+#: Each question that takes a committee size, asked with ``k`` on the three-candidate election below.
+QUESTIONS_OF_K = {
+    "winner_set": lambda e, k, rule: winner_set(e, k, rule),
+    "displacement": lambda e, k, rule: displacement(e, k, rule, Add(0, 1)),
+    "level_argmax": lambda e, k, rule: level_argmax(e, k, rule, "add"),
+    "robustness_radius": lambda e, k, rule: robustness_radius(e, k, rule, "add", budget=1),
+    "count_unchanged": lambda e, k, rule: count_unchanged(
+        e, k, rule, "add", 1, method="exact" if rule.kind == "av" else "oracle"
+    ),
+}
+
+
+@pytest.mark.parametrize("question", QUESTIONS_OF_K)
+@pytest.mark.parametrize("name", PRESETS)
+def test_a_float_k_is_refused_by_every_question(name, question):
+    e = election(3, [[0], [1, 2]])
+    with pytest.raises(ValueError, match=r"^committee size k=2\.0 must be an integer$"):
+        QUESTIONS_OF_K[question](e, 2.0, preset_rule(name, 2))
 
 
 class TestSeparable:
