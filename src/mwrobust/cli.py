@@ -16,6 +16,8 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 
 from . import constructions as cons
 from .core import CapExceeded, Election, approval_scores, render_diff_matrix, sav_scores
@@ -50,7 +52,66 @@ def parse_election(text: str) -> Election:
     Each distinct candidate text is converted and checked once; voters with
     equal candidate texts share one frozenset, so a repeated line costs one
     ``int`` and one dict lookup.
+
+    Text in the shape ``serialize_election`` writes is read in a few passes
+    over the list of lines (``_parse_serialized``): ASCII, lines ended by
+    ``"\\n"`` alone, the last one included, with no ``#``, tab, ``\\x1f`` or
+    space before a line end; the header first, then voters ``0:`` to
+    ``n-1:`` in order, then at most one ``tiebreak:`` line.  All other text,
+    and such text with any defect, is read line by line (``_parse_lines``),
+    which alone reports errors; both give the same election.
     """
+    e = _parse_serialized(text)
+    return e if e is not None else _parse_lines(text)
+
+
+def _parse_serialized(text: str) -> Election | None:
+    """``text``'s election if it is in ``serialize_election``'s shape, else ``None``.
+
+    ``None`` also stands for any defect, which ``_parse_lines`` then reports.
+    Every voter line starts with its index, so the line loop's ``strip`` and
+    ``#`` cut would leave it as it is: the candidate texts, and which voters
+    share a ballot, are the same on both paths.
+    """
+    if not (text.isascii() and text.endswith("\n")) or "\r" in text or " \n" in text:
+        return None
+    if "#" in text or "\t" in text or "\x1f" in text:
+        return None
+    lines = text.splitlines()
+    if len(lines) != text.count("\n"):  # some other line break, such as \v or \x1c
+        return None
+    fields = lines[0].split()
+    if len(fields) != 4 or fields[0] != "m" or fields[2] != "n":
+        return None
+    try:  # every ValueError below is a defect
+        m, n = cons._ints([fields[1], fields[3]], 1)
+        if not 0 <= n <= len(lines) - 1 <= n + 1 or m > cons.DEFAULT_MAX_VOTERS:
+            return None
+        if not all(map(str.startswith, islice(lines, 1, None), map("{}:".format, range(n)))):
+            return None
+        tiebreak = None
+        if len(lines) == n + 2:
+            label, _, order = lines[-1].partition(":")
+            if label != "tiebreak":
+                return None
+            tiebreak = tuple(cons._ints(order.split(), n + 2))
+        # candidate text -> its ballot; each voter holds the first string of its text, not a copy of its own
+        checked = {}
+        keep = checked.setdefault
+        rights = [keep(r := line.partition(":")[2], r) for line in islice(lines, 1, n + 1)]
+        del lines  # the lines are not needed past here; freeing them before the ballots are built lowers the peak
+        for right in checked:
+            candidates = cons._ints(right.split(), 0)
+            if any(b <= a for a, b in zip(candidates, candidates[1:])):
+                return None
+            checked[right] = frozenset(candidates)
+        return Election(m, tuple(map(checked.__getitem__, rights)), tiebreak)
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> Election:
+    """``parse_election`` line by line: any text, every error with its line number."""
     header: tuple[int, int] | None = None
     ballots_by_voter: dict[int, frozenset[int]] = {}
     checked: dict[str, frozenset[int]] = {}  # candidate text -> its ballot
@@ -100,7 +161,7 @@ def serialize_election(e: Election) -> str:
     """The election format of ``e``; each ballot type's candidate list is rendered once."""
     tails = {ballot: ": " + " ".join(map(str, sorted(ballot))) if ballot else ":" for ballot in e.groups}
     lines = [f"m {e.m} n {e.n}"]
-    lines.extend(f"{i}{tails[ballot]}" for i, ballot in enumerate(e.ballots))
+    lines.extend([f"{i}{tails[ballot]}" for i, ballot in enumerate(e.ballots)])
     if e.tiebreak is not None:
         lines.append("tiebreak: " + " ".join(str(c) for c in e.tiebreak))
     return "\n".join(lines) + "\n"
@@ -380,8 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``main``'s parser, built on its first call and reused by later calls in the process.
+_main_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         payload = run(args)
     except CapExceeded as exc:

@@ -122,11 +122,23 @@ PRESETS = {
 
 
 def preset_rule(name: str, k: int) -> RuleSpec:
-    """Build a rule from a ``PRESETS`` name, sizing weight vectors to ``k``."""
+    """Build a rule from a ``PRESETS`` name, sizing weight vectors to ``k``.
+
+    ``k`` must be an integer, as in every question, and at least 1 where it
+    sizes a weight vector; the question checks ``k <= m``.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown rule preset {name!r}")
     kind, family = PRESETS[name]
-    return RuleSpec(kind, family(k) if family else None)
+    try:
+        size = operator.index(k)
+    except TypeError:
+        raise ValueError(f"committee size k={k!r} must be an integer") from None
+    if family is None:
+        return RuleSpec(kind)
+    if size < 1:
+        raise ValueError(f"committee size k={k} must satisfy 1 <= k")
+    return RuleSpec(kind, family(size))
 
 
 # ---------------------------------------------------------------------------

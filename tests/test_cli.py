@@ -637,6 +637,26 @@ class TestRunRequests:
         assert rule.choices == tuple(rules.PRESETS)
 
 
+class TestMainParser:
+    def test_main_reuses_one_parser_and_build_parser_builds_afresh(self):
+        assert cli._main_parser() is cli._main_parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._main_parser()
+
+    def test_calls_do_not_leak_into_later_calls(self, capsys, small_path):
+        argv = ["winners", small_path, "--rule", "av", "--k", "1"]
+        first = invoke(capsys, *argv)
+        assert first[1] == run(build_parser().parse_args(argv))
+        with pytest.raises(SystemExit):
+            main(["winners", small_path, "--rule", "nope", "--k", "1"])
+        assert "invalid choice" in capsys.readouterr().err
+        code, payload, _ = invoke(
+            capsys, "radius", small_path, "--rule", "av", "--k", "1", "--op", "add", "--method", "oracle", "--budget", "1"
+        )
+        assert (code, payload["method"], payload["budget"]) == (0, "oracle", 1)
+        assert invoke(capsys, *argv) == first
+
+
 PRESETS = ("av", "sav", "cc", "pav", "greedy-cc", "greedy-pav", "phragmen")
 WINNERS_PROVENANCE = {
     "av": "score-threshold",

@@ -175,6 +175,25 @@ def test_a_float_k_is_refused_by_every_question(name, question):
         QUESTIONS_OF_K[question](e, 2.0, preset_rule(name, 2))
 
 
+@pytest.mark.parametrize("k", (2.0, 0, -3))
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_rule_refuses_a_bad_k(name, k):
+    """A bad k is a ``ValueError`` for every preset: from ``preset_rule`` when k is
+    not an integer or would size a weight vector, else from the question."""
+    if isinstance(k, float):
+        message = r"^committee size k=2\.0 must be an integer$"
+    elif PRESETS[name][1] is not None:
+        message = f"^committee size k={k} must satisfy 1 <= k$"
+    else:
+        rule = preset_rule(name, k)
+        assert rule == RuleSpec(PRESETS[name][0])
+        with pytest.raises(ValueError, match=f"^committee size k={k} must satisfy 1 <= k <= m=3$"):
+            winner_set(election(3, [[0], [1, 2]]), k, rule)
+        return
+    with pytest.raises(ValueError, match=message):
+        preset_rule(name, k)
+
+
 class TestSeparable:
     def test_av_threshold_structure(self):
         # approvals 3, 2, 2, 0
